@@ -67,7 +67,11 @@ class ConditionReport:
     b: float
     c: float
     d: float
-    of_margin: float
+
+    @property
+    def of_margin(self) -> float:
+        """Output-feedback margin: the first feedback margin c, required jointly with it."""
+        return self.c
 
     @property
     def pass_a(self) -> bool:
@@ -111,9 +115,8 @@ class ConditionReport:
 def build_report(theta: float, tau: float, norm_p: float, norm_s: float, k: float) -> ConditionReport:
     a, b = observer_conditions(theta, tau, norm_p, k)
     c, d = feedback_conditions(theta, tau, norm_s, k)
-    of = output_feedback_condition(theta, tau, norm_s, k)
     return ConditionReport(theta=theta, tau=tau, norm_p=norm_p, norm_s=norm_s, k=k,
-                           a=a, b=b, c=c, d=d, of_margin=of)
+                           a=a, b=b, c=c, d=d)
 
 
 def find_theta_min(tau: float, norm_p: float, norm_s: float, k: float,

@@ -6,6 +6,15 @@ breakpoint lands on a grid node; delayed stage values at half steps come
 from cubic Hermite interpolation using stored node states and node
 derivatives, which keeps the scheme fourth order between breakpoints.
 Whole-step delayed lookups are node reads and therefore exact.
+
+Every scenario is one table over the state z = x, or z = (x, xhat) with
+an observer: a matrix M, an input column b, a feedback row k and the
+blocks of z that receive f. For observer-based control
+M = [[A, B K_theta], [-L_theta C, A + B K_theta + L_theta C]]; output
+feedback shares it but drops f from the observer block, and the plain
+observer has no B K_theta terms and takes u = u_ext(t) through b. A
+single right-hand side serves all of them: u = k z (+ u_ext),
+dz = M z (+ b u_ext), then f(z_block, z_block(t - tau), u) on each block.
 """
 
 from __future__ import annotations
@@ -84,8 +93,8 @@ class HistoryBuffer:
             raise ContractViolation(f"node {j} outside stored history")
         return self._states[j]
 
-    def segment_midpoint(self, j: int) -> np.ndarray:
-        """Cubic Hermite value at the midpoint of segment [node j, node j+1]."""
+    def _hermite(self, j: int, lam: float) -> np.ndarray:
+        """Cubic Hermite value at fraction lam of segment [node j, node j+1]."""
         if j < 0 or j + 1 >= self._filled:
             raise ContractViolation(f"segment {j} outside stored history")
         left_slope = self._derivs[j]
@@ -93,9 +102,17 @@ class HistoryBuffer:
             right_slope = self._break_left_slope
         else:
             right_slope = self._derivs[j + 1]
-        return 0.5 * (self._states[j] + self._states[j + 1]) + 0.125 * self.h * (
-            left_slope - right_slope
-        )
+        h = self.h
+        h00 = (1.0 + 2.0 * lam) * (1.0 - lam) ** 2
+        h10 = lam * (1.0 - lam) ** 2
+        h01 = lam * lam * (3.0 - 2.0 * lam)
+        h11 = lam * lam * (lam - 1.0)
+        return (h00 * self._states[j] + h * h10 * left_slope
+                + h01 * self._states[j + 1] + h * h11 * right_slope)
+
+    def segment_midpoint(self, j: int) -> np.ndarray:
+        """Cubic Hermite value at the midpoint of segment [node j, node j+1]."""
+        return self._hermite(j, 0.5)
 
     def value_at(self, s: float) -> np.ndarray:
         """State at an arbitrary stored time; node-aligned queries are exact."""
@@ -104,21 +121,7 @@ class HistoryBuffer:
         if abs(position - j) <= 1e-9:
             return self.node(j).copy()
         j = int(math.floor(position))
-        if j < 0 or j + 1 >= self._filled:
-            raise ContractViolation(f"time {s} outside stored history")
-        lam = position - j
-        left_slope = self._derivs[j]
-        if j + 1 == self._break_index:
-            right_slope = self._break_left_slope
-        else:
-            right_slope = self._derivs[j + 1]
-        h = self.h
-        x0, x1 = self._states[j], self._states[j + 1]
-        h00 = (1.0 + 2.0 * lam) * (1.0 - lam) ** 2
-        h10 = lam * (1.0 - lam) ** 2
-        h01 = lam * lam * (3.0 - 2.0 * lam)
-        h11 = lam * lam * (lam - 1.0)
-        return h00 * x0 + h * h10 * left_slope + h01 * x1 + h * h11 * right_slope
+        return self._hermite(j, position - j)
 
 
 def _as_history_fn(phi, width: int) -> Callable[[float], np.ndarray]:
@@ -264,6 +267,30 @@ class Trajectory:
         return self.x * self._scaling()
 
 
+def _closed_loop(scenario: Scenario, gains: GainSet):
+    """Closed-loop table (M, b, k, f_blocks) of a scenario, as in the module
+    docstring; b is None for every scenario but the plain observer."""
+    n = gains.n
+    A, B, C = build_companion(n)
+    BK = np.outer(B, gains.K_scaled)
+    LC = np.outer(gains.L_scaled, C)
+    plant, observer = slice(0, n), slice(n, 2 * n)
+    if scenario is Scenario.OPEN_LOOP:
+        return A, None, np.zeros(n), (plant,)
+    if scenario is Scenario.STATE_FEEDBACK:
+        return A + BK, None, gains.K_scaled, (plant,)
+    if scenario is Scenario.OBSERVER:
+        M = np.block([[A, np.zeros((n, n))], [-LC, A + LC]])
+        return M, np.concatenate([B, B]), np.zeros(2 * n), (plant, observer)
+    M = np.block([[A, BK], [-LC, A + BK + LC]])
+    k = np.concatenate([np.zeros(n), gains.K_scaled])
+    if scenario is Scenario.OBSERVER_BASED:
+        return M, None, k, (plant, observer)
+    if scenario is Scenario.OUTPUT_FEEDBACK:
+        return M, None, k, (plant,)  # nonlinearity-free observer
+    raise ConfigError(f"unknown scenario {scenario!r}")
+
+
 def run_scenario(sys: SystemSpec, gains: GainSet, scenario: Scenario, phi, phi_hat=None,
                  h: float = 1e-3, horizon: float = 10.0,
                  u_ext: Callable[[float], float] | None = None) -> Trajectory:
@@ -271,16 +298,15 @@ def run_scenario(sys: SystemSpec, gains: GainSet, scenario: Scenario, phi, phi_h
 
     phi (plant) and phi_hat (observer, when present) are constant vectors
     or callables on [-tau, 0]. For the plain observer scenario the control
-    is externally given; it defaults to zero when u_ext is omitted.
+    is externally given; it is zero when u_ext is omitted. Other scenarios
+    ignore u_ext.
     """
     n = sys.n
     if gains.n != n:
         raise ConfigError(f"gain length {gains.n} does not match system dimension {n}")
-    A, B, _ = build_companion(n)
-    L_scaled = gains.L_scaled
-    K_scaled = gains.K_scaled
+    M, b, k, f_blocks = _closed_loop(scenario, gains)
+    external = u_ext if b is not None else None
     f = sys.f
-    external = u_ext if u_ext is not None else (lambda t: 0.0)
 
     plant_phi = _as_history_fn(phi, n)
     if scenario.has_observer:
@@ -291,61 +317,24 @@ def run_scenario(sys: SystemSpec, gains: GainSet, scenario: Scenario, phi, phi_h
     else:
         stacked_phi = plant_phi
 
-    def plant_rhs(x, xd, u):
-        return A @ x + B * u + f(x, xd, u)
-
-    if scenario is Scenario.OPEN_LOOP:
-        def rhs(t, x, xd):
-            return plant_rhs(x, xd, 0.0)
-    elif scenario is Scenario.STATE_FEEDBACK:
-        def rhs(t, x, xd):
-            return plant_rhs(x, xd, float(K_scaled @ x))
-    elif scenario is Scenario.OBSERVER:
-        def rhs(t, z, zd):
-            x, xh = z[:n], z[n:]
-            xd, xhd = zd[:n], zd[n:]
-            u = float(external(t))
-            innovation = L_scaled * (xh[0] - x[0])
-            return np.concatenate([
-                plant_rhs(x, xd, u),
-                A @ xh + B * u + f(xh, xhd, u) + innovation,
-            ])
-    elif scenario is Scenario.OBSERVER_BASED:
-        def rhs(t, z, zd):
-            x, xh = z[:n], z[n:]
-            xd, xhd = zd[:n], zd[n:]
-            u = float(K_scaled @ xh)
-            innovation = L_scaled * (xh[0] - x[0])
-            return np.concatenate([
-                plant_rhs(x, xd, u),
-                A @ xh + B * u + f(xh, xhd, u) + innovation,
-            ])
-    elif scenario is Scenario.OUTPUT_FEEDBACK:
-        def rhs(t, z, zd):
-            x, xh = z[:n], z[n:]
-            xd = zd[:n]
-            u = float(K_scaled @ xh)
-            innovation = L_scaled * (xh[0] - x[0])
-            return np.concatenate([
-                plant_rhs(x, xd, u),
-                A @ xh + B * u + innovation,  # nonlinearity-free observer
-            ])
-    else:
-        raise ConfigError(f"unknown scenario {scenario!r}")
+    def rhs(t, z, zd):
+        u = float(k @ z)
+        dz = M @ z
+        if external is not None:
+            v = float(external(t))
+            u += v
+            dz += b * v
+        for block in f_blocks:
+            dz[block] += f(z[block], zd[block], u)
+        return dz
 
     t, states = integrate(rhs, stacked_phi, sys.tau, h, horizon)
-    if scenario.has_observer:
-        x, xhat = states[:, :n], states[:, n:]
-    else:
-        x, xhat = states, None
+    x, xhat = states[:, :n], (states[:, n:] if scenario.has_observer else None)
 
     u = np.zeros(len(t))
     live = t >= -1e-12
-    if scenario is Scenario.STATE_FEEDBACK:
-        u[live] = x[live] @ K_scaled
-    elif scenario is Scenario.OBSERVER:
-        u[live] = [float(external(ti)) for ti in t[live]]
-    elif scenario in (Scenario.OBSERVER_BASED, Scenario.OUTPUT_FEEDBACK):
-        u[live] = xhat[live] @ K_scaled
+    u[live] = states[live] @ k
+    if external is not None:
+        u[live] += [float(external(ti)) for ti in t[live]]
 
     return Trajectory(t=t, x=x, xhat=xhat, u=u, theta=gains.theta, tau=sys.tau, h=h)

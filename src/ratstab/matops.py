@@ -20,8 +20,12 @@ MAX_DIM = 16
 # strict-stability threshold: eigenvalues must satisfy Re(lam) < -HURWITZ_MARGIN
 HURWITZ_MARGIN = 1e-9
 
-# Frobenius residual accepted from a successful Lyapunov solve
+# relative residual |A'X + XA + I|_F / (2 |A|_F |X|_F + 1) accepted from a
+# Lyapunov solve (the normwise backward error, Higham, Accuracy and
+# Stability of Numerical Algorithms, ch. 16)
 RESIDUAL_TOL = 1e-10
+
+_UNCERTIFIED = "input is not Hurwitz, or too ill-conditioned to certify in double precision"
 
 _SYM_RTOL = 1e-9
 _JACOBI_TOL = 1e-14
@@ -183,8 +187,10 @@ def solve_lyapunov(a_cl) -> LyapunovCertificate:
     The equation is vectorised into an n^2 x n^2 linear system through its
     Kronecker structure and solved by dense elimination with partial
     pivoting; the result is symmetrised as (X + X')/2. Raises
-    NotHurwitzError when the operator is singular or the solution fails
-    positive definiteness, both of which mean the input was not Hurwitz.
+    NotHurwitzError when the operator is singular, the relative residual
+    exceeds RESIDUAL_TOL or the solution fails positive definiteness: the
+    input is then not Hurwitz, or too ill-conditioned for the solution to
+    be certified in double precision.
     """
     A = _square(a_cl)
     if not np.all(np.isfinite(A)):
@@ -201,12 +207,15 @@ def solve_lyapunov(a_cl) -> LyapunovCertificate:
     X = vec.reshape(n, n)
     X = 0.5 * (X + X.T)
     residual = float(np.linalg.norm(A.T @ X + X @ A + ident))
-    if not math.isfinite(residual) or residual > RESIDUAL_TOL:
-        raise NotHurwitzError(f"Lyapunov residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
+    relative = residual / (2.0 * float(np.linalg.norm(A)) * float(np.linalg.norm(X)) + 1.0)
+    if not math.isfinite(relative) or relative > RESIDUAL_TOL:
+        raise NotHurwitzError(
+            f"relative Lyapunov residual {relative:.3e} exceeds {RESIDUAL_TOL:.0e}; {_UNCERTIFIED}"
+        )
     eigs = sym_eigenvalues(X)
     min_eig = float(eigs[0])
     if min_eig <= 0.0:
-        raise NotHurwitzError("Lyapunov solution is not positive definite; input is not Hurwitz")
+        raise NotHurwitzError(f"Lyapunov solution is not positive definite; {_UNCERTIFIED}")
     return LyapunovCertificate(
         solution=X,
         residual=residual,

@@ -77,13 +77,36 @@ def test_history_buffer_hermite_reproduces_cubics():
 
 
 def test_linear_closed_loop_matches_expm(linear_system, bench_gains):
+    # f = 0: every scenario is the linear ODE z' = M z, written out here from
+    # the plant x' = Ax + Bu and the observer xhat' = A xhat + Bu + L C (xhat - x)
     x0 = np.array([1.0, 1.0])
-    traj = rs.run_scenario(linear_system, bench_gains, rs.Scenario.STATE_FEEDBACK,
-                           x0, h=0.001, horizon=1.0)
-    A, B, _ = rs.build_companion(2)
-    closed = A + np.outer(B, bench_gains.K_scaled)
-    reference = scipy.linalg.expm(closed) @ x0
-    assert np.linalg.norm(traj.x[-1] - reference) <= 1e-8
+    xhat0 = np.array([0.5, -0.5])
+    A, B, C = rs.build_companion(2)
+    BK = np.outer(B, bench_gains.K_scaled)
+    LC = np.outer(bench_gains.L_scaled, C)
+    observer_based = np.block([[A, BK], [-LC, A + BK + LC]])
+    closed = {
+        rs.Scenario.OPEN_LOOP: A,
+        rs.Scenario.STATE_FEEDBACK: A + BK,
+        rs.Scenario.OBSERVER: np.block([[A, np.zeros((2, 2))], [-LC, A + LC]]),
+        rs.Scenario.OBSERVER_BASED: observer_based,
+        rs.Scenario.OUTPUT_FEEDBACK: observer_based,
+    }
+    for scenario in rs.Scenario:
+        traj = rs.run_scenario(linear_system, bench_gains, scenario, x0, xhat0,
+                               h=0.001, horizon=1.0)
+        if scenario.has_observer:
+            reference = scipy.linalg.expm(closed[scenario]) @ np.concatenate([x0, xhat0])
+            final = np.concatenate([traj.x[-1], traj.xhat[-1]])
+        else:
+            reference = scipy.linalg.expm(closed[scenario]) @ x0
+            final = traj.x[-1]
+        assert np.linalg.norm(final - reference) <= 1e-8, scenario
+        live = traj.t >= 0.0
+        source = {rs.Scenario.STATE_FEEDBACK: traj.x, rs.Scenario.OBSERVER_BASED: traj.xhat,
+                  rs.Scenario.OUTPUT_FEEDBACK: traj.xhat}.get(scenario)
+        expected = 0.0 if source is None else source[live] @ bench_gains.K_scaled
+        assert np.allclose(traj.u[live], expected, rtol=1e-12, atol=0.0), scenario
 
 
 def test_benchmark_observer_based_converges(bench_system, bench_gains):

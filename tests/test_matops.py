@@ -83,6 +83,21 @@ def test_lyapunov_rejects_non_hurwitz():
         rs.solve_lyapunov(np.array([[0.0, 1.0], [-1.0, 0.0]]))  # singular operator
 
 
+@pytest.mark.parametrize("poles, n", [("repeated", n) for n in range(8, 17)]
+                         + [("distinct", n) for n in range(8, 13)])
+def test_lyapunov_high_dimension_companion_gains(poles, n):
+    # Hurwitz companion gains whose solutions reach norms far above 1, so an
+    # absolute residual test rejects them; the relative residual must not
+    roots = -np.ones(n) if poles == "repeated" else -np.arange(1, n + 1, dtype=float)
+    c = np.poly(roots)[1:]
+    gains = rs.GainSet(L=-c, K=-c[::-1], theta=1.0)
+    for A in (gains.A_L, gains.A_K):
+        cert = rs.solve_lyapunov(A)
+        assert cert.min_eig > 0.0
+        ref = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(n))
+        assert np.linalg.norm(cert.solution - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
 def test_spectral_norm_identity():
     assert rs.spectral_norm_sym(np.eye(2)) == pytest.approx(1.0, abs=1e-15)
 
