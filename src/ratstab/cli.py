@@ -210,10 +210,12 @@ def build_gains(cfg: RunConfig, theta_override: float | None = None) -> GainSet:
     return GainSet(L=np.asarray(cfg.L), K=np.asarray(cfg.K), theta=theta)
 
 
-def _history_callable(exprs, n: int):
+def _history_callable(exprs):
+    compiled = [exprlang.compile_expr(e) for e in exprs]
+
     def phi(s: float) -> np.ndarray:
         env = {"t": float(s)}
-        return np.array([exprlang.evaluate(e, env) for e in exprs])
+        return np.array([c(env) for c in compiled])
 
     return phi
 
@@ -225,9 +227,9 @@ def build_histories(cfg: RunConfig):
         phi = np.asarray(cfg.x0, dtype=float)
         phi_hat = np.asarray(cfg.xhat0, dtype=float) if cfg.xhat0 is not None else None
         return phi, phi_hat
-    phi = _history_callable(cfg.history["x"], cfg.n)
+    phi = _history_callable(cfg.history["x"])
     if "xhat" in cfg.history:
-        phi_hat = _history_callable(cfg.history["xhat"], cfg.n)
+        phi_hat = _history_callable(cfg.history["xhat"])
     elif cfg.xhat0 is not None:
         phi_hat = np.asarray(cfg.xhat0, dtype=float)
     else:

@@ -12,20 +12,34 @@ Identifiers are case-sensitive. Valid variables are the states x1, x2, ...,
 the delayed states xd1, xd2, ..., the input u and time t. Available
 functions: sin, cos, tan, tanh, exp, ln, sqrt, abs.
 
-Evaluation is plain IEEE double arithmetic and total: domain errors
-(ln of a negative number, division by zero, ...) produce non-finite
-values instead of raising, so callers driving the evaluator inside a
-simulation loop can apply their own divergence policy. The evaluation
-operation is exposed as :func:`evaluate` (the name ``eval`` would shadow
-the builtin).
+An AST is compiled once by :func:`compile_expr` into nested closures, which
+callers keep and call for every point. One builder serves two operation
+tables. The scalar table evaluates one point, a mapping from variable name
+to float, with :mod:`math`; the column table evaluates many points at once,
+a mapping from variable name to a 1-D numpy column, with numpy ufuncs.
+:func:`evaluate` is "compile with the scalar table, then call".
+
+Both tables follow one non-finite policy. Evaluation is plain IEEE double
+arithmetic and total: domain errors (ln of a negative number, division by
+zero, ...) produce non-finite values instead of raising, so callers driving
+the evaluator inside a simulation loop can apply their own divergence
+policy; ``0^y`` with ``y < 0`` is ``+inf`` whatever the sign of the zero.
+The column table raises no floating-point warnings. Its ``+ - * / ^``,
+negation, ``sqrt`` and ``abs`` give the scalar table's doubles bit for bit;
+its other functions may differ from :mod:`math` by a few ulp, never in
+class (finite, nan, +inf or -inf). The names :func:`evaluate` and
+:func:`compile_expr` avoid shadowing the ``eval`` and ``compile`` builtins.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
+
+import numpy as np
 
 from .errors import ToolkitError
 
@@ -252,40 +266,83 @@ def _pow(base: float, exponent: float) -> float:
         return math.inf
 
 
+def _div(left: float, right: float) -> float:
+    try:
+        return left / right
+    except ZeroDivisionError:
+        if left == 0.0 or math.isnan(left):
+            return math.nan
+        return math.copysign(math.inf, left) * math.copysign(1.0, right)
+
+
+def _column_pow(base, exponent):
+    # np.float_power gives math.pow's doubles; np.power's SIMD loop can be an ulp
+    # off, and its x^0.5 -> sqrt shortcut gives nan for (-inf)^0.5
+    out = np.float_power(base, exponent)
+    return np.where((base == 0.0) & (exponent < 0.0), np.inf, out)  # (-0)^(-odd)
+
+
+# operation tables: one entry per binary operator, "neg" and every function
+_SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div,
+               "^": _pow, "neg": operator.neg, **FUNCTIONS}
+_COLUMN_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+               "^": _column_pow, "neg": np.negative,
+               "sin": np.sin, "cos": np.cos, "tan": np.tan, "tanh": np.tanh,
+               "exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "abs": np.abs}
+
+
+def _build(expr: Expr, ops: Mapping[str, Callable]) -> Callable:
+    if isinstance(expr, Num):
+        value = expr.value
+        return lambda env: value
+    if isinstance(expr, Var):
+        name = expr.name
+
+        def var(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise ExprEvalError(f"unbound variable {name!r}") from None
+
+        return var
+    if isinstance(expr, Neg):
+        op, arg = ops["neg"], _build(expr.arg, ops)
+        return lambda env: op(arg(env))
+    if isinstance(expr, Call):
+        op, arg = ops[expr.func], _build(expr.arg, ops)
+        return lambda env: op(arg(env))
+    op, left, right = ops[expr.op], _build(expr.left, ops), _build(expr.right, ops)
+    return lambda env: op(left(env), right(env))
+
+
+def compile_expr(expr: Expr, columns: bool = False) -> Callable[[Mapping], float]:
+    """Compile an AST once into a function of a variable assignment.
+
+    With ``columns=False`` the function maps names to floats and returns a
+    float. With ``columns=True`` it maps names to 1-D float arrays of one
+    length and returns an array of that length, or a numpy scalar when the
+    expression reads no variable. Every variable read must be bound, or
+    the call raises ExprEvalError naming it.
+    """
+    if not columns:
+        return _build(expr, _SCALAR_OPS)
+    fn = _build(expr, _COLUMN_OPS)
+
+    def on_columns(env):
+        with np.errstate(all="ignore"):
+            return fn(env)
+
+    return on_columns
+
+
 def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
     """Evaluate an AST under a variable assignment.
 
     Every free variable must be bound in ``env``; non-finite results are
-    legal and returned as-is.
+    legal and returned as-is. Compiles on every call: callers evaluating
+    one expression at many points keep :func:`compile_expr`'s result.
     """
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise ExprEvalError(f"unbound variable {expr.name!r}") from None
-    if isinstance(expr, Neg):
-        return -evaluate(expr.arg, env)
-    if isinstance(expr, Call):
-        return FUNCTIONS[expr.func](evaluate(expr.arg, env))
-    left = evaluate(expr.left, env)
-    right = evaluate(expr.right, env)
-    op = expr.op
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        try:
-            return left / right
-        except ZeroDivisionError:
-            if left == 0.0 or math.isnan(left):
-                return math.nan
-            return math.copysign(math.inf, left) * math.copysign(1.0, right)
-    return _pow(left, right)
+    return compile_expr(expr)(env)
 
 
 def free_vars(expr: Expr) -> set[str]:

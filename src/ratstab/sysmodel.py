@@ -31,9 +31,10 @@ class Nonlinearity:
     """Triangular vector nonlinearity f(x, x_delayed, u) -> R^n.
 
     Built either from a plain Python callable (registry entries) or from a
-    list of expression ASTs, one per component. Construction validates the
-    triangular dependency structure and that the origin is an equilibrium
-    for a grid of input values.
+    list of expression ASTs, one per component, compiled once here.
+    Construction validates the triangular dependency structure and that
+    the origin is an equilibrium for a grid of input values. Call it on
+    one point; :meth:`rows` evaluates many points in one call.
     """
 
     def __init__(self, n: int, components=None, fn: Callable | None = None, name: str = ""):
@@ -52,6 +53,8 @@ class Nonlinearity:
                 f"xd{i + 1}" for i in range(self.n)
             ]
             self._check_triangular_structure()
+            self._scalar = [exprlang.compile_expr(c) for c in self.components]
+            self._columns = [exprlang.compile_expr(c, columns=True) for c in self.components]
         else:
             self._probe_triangularity()
         self._check_zero_at_origin()
@@ -61,9 +64,28 @@ class Nonlinearity:
         xd = np.asarray(xd, dtype=float)
         if self._fn is not None:
             return np.asarray(self._fn(x, xd, float(u)), dtype=float)
-        env = dict(zip(self._var_names, map(float, np.concatenate([x, xd]))))
+        env = dict(zip(self._var_names, x.tolist() + xd.tolist()))
         env["u"] = float(u)
-        return np.array([exprlang.evaluate(c, env) for c in self.components])
+        return np.array([c(env) for c in self._scalar])
+
+    def rows(self, X, XD, U) -> np.ndarray:
+        """f on each row: X and XD of shape (B, n) and U of shape (B,) give (B, n).
+
+        Expression components run once on whole columns. An opaque callable
+        is called row by row, so row i is exactly ``self(X[i], XD[i], U[i])``.
+        """
+        X = np.asarray(X, dtype=float)
+        XD = np.asarray(XD, dtype=float)
+        U = np.asarray(U, dtype=float)
+        if self._fn is not None:
+            return np.array([self._fn(x, xd, u) for x, xd, u in zip(X, XD, U.tolist())],
+                            dtype=float).reshape(len(U), self.n)
+        env = dict(zip(self._var_names, np.concatenate([X.T, XD.T])))
+        env["u"] = U
+        out = np.empty((len(U), self.n))
+        for i, c in enumerate(self._columns):
+            out[:, i] = c(env)
+        return out
 
     def _check_triangular_structure(self):
         for i, comp in enumerate(self.components):
@@ -265,8 +287,10 @@ def estimate_lipschitz(f: Nonlinearity, box: Sequence, samples: int = 2000, seed
     Takes the maximum difference quotient |f(p) - f(q)| / |p - q| over
     random point pairs, random finite-difference probes and per-axis grid
     sweeps (both x and delayed-x coordinates range over the box, the input
-    u over a fixed grid). Deterministic for a fixed seed. This is advisory:
-    a true Lipschitz constant is at least the returned value.
+    u over a fixed grid). f is evaluated on batches of probe rows, at most
+    ``max(samples, 201)`` rows each, through :meth:`Nonlinearity.rows`.
+    Deterministic for a fixed seed. This is advisory: a true Lipschitz
+    constant is at least the returned value.
     """
     if samples < 100:
         raise ConfigError(f"need at least 100 samples, got {samples}")
@@ -277,50 +301,48 @@ def estimate_lipschitz(f: Nonlinearity, box: Sequence, samples: int = 2000, seed
     width = hi - lo
     rng = np.random.default_rng(seed)
 
-    def value(point: np.ndarray, u: float) -> np.ndarray:
-        return f(point[:n], point[n:], u)
+    def value(points: np.ndarray, u) -> np.ndarray:
+        return f.rows(points[:, :n], points[:, n:], np.broadcast_to(u, len(points)))
 
-    def quotient(p: np.ndarray, q: np.ndarray, u: float) -> float:
-        gap = float(np.linalg.norm(p - q))
-        if gap == 0.0:
-            return 0.0
-        return float(np.linalg.norm(value(p, u) - value(q, u))) / gap
+    def top_quotient(p: np.ndarray, q: np.ndarray, fp: np.ndarray, fq: np.ndarray) -> float:
+        # largest |f(p) - f(q)| / |p - q| over the rows; a nan quotient is skipped, p = q is 0
+        with np.errstate(all="ignore"):
+            gap = np.linalg.norm(p - q, axis=1)
+            ratio = np.linalg.norm(fp - fq, axis=1) / np.where(gap == 0.0, np.inf, gap)
+        return max(0.0, float(np.fmax.reduce(ratio)))
 
-    best = 0.0
-    for s in range(samples):
-        u = _U_PROBE[s % len(_U_PROBE)]
-        p = lo + rng.random(2 * n) * width
-        q = lo + rng.random(2 * n) * width
-        best = max(best, quotient(p, q, u))
-
-    for s in range(samples):
-        u = _U_PROBE[s % len(_U_PROBE)]
-        p = lo + rng.random(2 * n) * width
-        c = s % (2 * n)
+    def fd_partner(p: np.ndarray, axis) -> np.ndarray:
+        # p moved by _FD_STEP along its axis, inward at the upper edge
+        rows = np.arange(len(p))
         q = p.copy()
-        q[c] += _FD_STEP if p[c] + _FD_STEP <= hi[c] else -_FD_STEP
-        best = max(best, quotient(p, q, u))
+        q[rows, axis] += np.where(p[rows, axis] + _FD_STEP <= hi[axis], _FD_STEP, -_FD_STEP)
+        return q
+
+    # the same stream as drawing p, q per sample, then one p per sample, then the anchors
+    u_cycle = np.resize(np.asarray(_U_PROBE), samples)
+    pairs = lo + rng.random((samples, 2, 2 * n)) * width
+    p, q = pairs[:, 0], pairs[:, 1]
+    best = top_quotient(p, q, value(p, u_cycle), value(q, u_cycle))
+
+    p = lo + rng.random((samples, 2 * n)) * width
+    q = fd_partner(p, np.arange(samples) % (2 * n))
+    best = max(best, top_quotient(p, q, value(p, u_cycle), value(q, u_cycle)))
 
     # per-axis sweeps from fixed anchors, probing each grid node inward at edges
     anchors = [0.5 * (lo + hi)] + [lo + rng.random(2 * n) * width for _ in range(2)]
     grid_points = 201
     for c in range(2 * n):
         ticks = np.linspace(lo[c], hi[c], grid_points)
+        gaps = np.diff(ticks)
         for anchor in anchors:
+            p = np.tile(anchor, (grid_points, 1))
+            p[:, c] = ticks
+            q = fd_partner(p, c)
             for u in (-1.0, 0.0, 1.0):
-                line = []
-                for tick in ticks:
-                    p = anchor.copy()
-                    p[c] = tick
-                    line.append(value(p, u))
-                line = np.asarray(line)
-                gaps = np.diff(ticks)
-                jumps = np.linalg.norm(np.diff(line, axis=0), axis=1)
-                best = max(best, float(np.max(jumps / gaps)))
-                for tick in ticks:
-                    p = anchor.copy()
-                    p[c] = tick
-                    q = p.copy()
-                    q[c] += _FD_STEP if tick + _FD_STEP <= hi[c] else -_FD_STEP
-                    best = max(best, quotient(p, q, u))
+                fp = value(p, u)
+                with np.errstate(all="ignore"):
+                    jumps = np.linalg.norm(np.diff(fp, axis=0), axis=1)
+                    line = float(np.max(jumps / gaps))
+                best = max(best, line)  # a nan anywhere on the line drops the line
+                best = max(best, top_quotient(p, q, fp, value(q, u)))
     return best

@@ -62,3 +62,25 @@ def random_hurwitz(rng: np.random.Generator, n: int) -> np.ndarray:
     M = rng.normal(size=(n, n))
     shift = float(np.max(np.linalg.eigvals(M).real)) + rng.uniform(0.2, 2.0)
     return M - shift * np.eye(n)
+
+
+def ulp_distance(a, b) -> np.ndarray:
+    """Elementwise distance in units in the last place between two float arrays.
+
+    Equal non-finite values (nan and nan, inf and inf) are 0 apart; a finite
+    value and a non-finite one, or two different non-finite ones, are
+    infinitely far. -0.0 and 0.0 are 0 apart.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    out = np.full(a.shape, np.inf)
+    same = (np.isnan(a) & np.isnan(b)) | (np.isinf(a) & (a == b))
+    out[same] = 0.0
+    finite = np.isfinite(a) & np.isfinite(b)
+
+    def ordered(x):
+        bits = x.view(np.int64)
+        magnitude = (bits & 0x7FFFFFFFFFFFFFFF).tolist()
+        return [-m if v < 0 else m for v, m in zip(bits.tolist(), magnitude)]
+
+    out[finite] = [abs(p - q) for p, q in zip(ordered(a[finite]), ordered(b[finite]))]
+    return out

@@ -6,6 +6,8 @@ import pytest
 from ratstab import exprlang as el
 from ratstab.exprlang import Bin, Call, ExprEvalError, ExprSyntaxError, Neg, Num, Var
 
+from conftest import ulp_distance
+
 
 def ev(text, **env):
     return el.evaluate(el.parse(text), env)
@@ -92,20 +94,22 @@ def test_nonfinite_policy():
 _FUNC_NAMES = sorted(el.FUNCTIONS)
 
 
-def _random_tree(rng, depth):
+_VAR_POOL = ["x1", "x2", "x3", "xd1", "xd2", "u", "t"]
+
+
+def _random_tree(rng, depth, funcs=_FUNC_NAMES):
     if depth <= 0 or rng.random() < 0.25:
         if rng.random() < 0.5:
             return Num(float(rng.integers(0, 40)) / 4.0)
-        pool = ["x1", "x2", "x3", "xd1", "xd2", "u", "t"]
-        return Var(pool[int(rng.integers(0, len(pool)))])
+        return Var(_VAR_POOL[int(rng.integers(0, len(_VAR_POOL)))])
     pick = rng.random()
     if pick < 0.55:
         op = "+-*/^"[int(rng.integers(0, 5))]
-        return Bin(op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+        return Bin(op, _random_tree(rng, depth - 1, funcs), _random_tree(rng, depth - 1, funcs))
     if pick < 0.75:
-        return Neg(_random_tree(rng, depth - 1))
-    func = _FUNC_NAMES[int(rng.integers(0, len(_FUNC_NAMES)))]
-    return Call(func, _random_tree(rng, depth - 1))
+        return Neg(_random_tree(rng, depth - 1, funcs))
+    func = funcs[int(rng.integers(0, len(funcs)))]
+    return Call(func, _random_tree(rng, depth - 1, funcs))
 
 
 def test_unparse_roundtrip_property():
@@ -155,3 +159,82 @@ def test_fuzz_no_crash():
         except ExprSyntaxError:
             continue
         el.free_vars(tree)  # parsed trees must be walkable too
+
+
+# --- the column table against the scalar one --------------------------------------------
+
+
+def _literals_as_columns(tree, env, size):
+    """The tree with every literal read from a constant column added to env."""
+    if isinstance(tree, Num):
+        name = f"c{len(env)}"
+        env[name] = np.full(size, tree.value)
+        return Var(name)
+    if isinstance(tree, Neg):
+        return Neg(_literals_as_columns(tree.arg, env, size))
+    if isinstance(tree, Call):
+        return Call(tree.func, _literals_as_columns(tree.arg, env, size))
+    if isinstance(tree, Bin):
+        return Bin(tree.op, _literals_as_columns(tree.left, env, size),
+                   _literals_as_columns(tree.right, env, size))
+    return tree
+
+
+def ev_columns(text, size=3):
+    """Evaluate constant text through the column table, every operand a column."""
+    env = {}
+    tree = _literals_as_columns(el.parse(text), env, size)
+    out = el.compile_expr(tree, columns=True)(env)
+    assert out.shape == (size,)
+    assert np.all(ulp_distance(out, out[0]) == 0.0)
+    return float(out[0])
+
+
+def test_column_table_follows_nonfinite_policy():
+    # every case of test_nonfinite_policy and test_functions, plus (-0)^(negative odd)
+    cases = ["1/0", "(0-1)/0", "0/0", "ln(0-1)", "ln(0)", "sqrt(0-4)", "(0-2)^0.5",
+             "exp(10000)", "0^-1", "sin(1/0)", "sin(0)", "cos(0)", "exp(1)", "ln(exp(2))",
+             "sqrt(9)", "abs(0-4)", "tanh(0)", "tan(0)", "(0*(0-1))^(0-1)"]
+    for text in cases:
+        assert ulp_distance(ev_columns(text), ev(text)) <= 4.0, text
+    assert ev("(0*(0-1))^(0-1)") == math.inf
+    assert ev_columns("(0*(0-1))^(0-1)") == math.inf
+    assert ev_columns("(0-1)/0") == -math.inf
+    assert math.isnan(ev_columns("0/0"))
+
+
+def test_column_table_matches_scalar_on_random_trees():
+    # + - * / ^, negation, sqrt and abs are correctly rounded in math and numpy alike
+    rng = np.random.default_rng(31)
+    specials = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, math.inf, -math.inf, math.nan])
+    size = 64
+    for _ in range(400):
+        tree = _random_tree(rng, int(rng.integers(1, 7)), funcs=("sqrt", "abs"))
+        env = {}
+        for name in _VAR_POOL:
+            column = rng.uniform(-4.0, 4.0, size)
+            column[:12] = rng.choice(specials, 12)
+            env[name] = column
+        got = np.broadcast_to(el.compile_expr(tree, columns=True)(env), size)
+        scalar = el.compile_expr(tree)
+        want = [scalar({k: float(v[i]) for k, v in env.items()}) for i in range(size)]
+        assert np.array_equal(got, want, equal_nan=True), el.to_string(tree)
+
+
+def test_column_functions_within_4_ulp():
+    rng = np.random.default_rng(8)
+    args = np.concatenate([
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 1e6, -1e6, 710.0, -746.0],
+        rng.uniform(-1e6, 1e6, 2000),
+        rng.uniform(-30.0, 30.0, 2000),
+        rng.uniform(-1e-3, 1e-3, 500),
+    ])
+    for func in ("sin", "cos", "tan", "tanh", "exp", "ln"):
+        got = el.compile_expr(el.parse(f"{func}(x1)"), columns=True)({"x1": args})
+        want = np.array([el.FUNCTIONS[func](float(a)) for a in args])
+        assert np.max(ulp_distance(got, want)) <= 4.0, func
+
+
+def test_column_unbound_variable_named():
+    with pytest.raises(ExprEvalError, match="xd2"):
+        el.compile_expr(el.parse("x1+xd2"), columns=True)({"x1": np.zeros(3)})

@@ -7,7 +7,7 @@ import ratstab as rs
 from ratstab.errors import ConfigError, NotHurwitzError
 from ratstab.sysmodel import U_ZERO_GRID, Nonlinearity
 
-from conftest import BENCH_K, BENCH_L
+from conftest import BENCH_K, BENCH_L, ulp_distance
 
 
 def test_scale_gains_theta_one():
@@ -189,3 +189,47 @@ def test_lipschitz_input_validation():
         rs.estimate_lipschitz(f, [(5, -5), (-5, 5)], samples=200, seed=0)
     with pytest.raises(ConfigError):
         rs.estimate_lipschitz(f, [(-5, 5)], samples=200, seed=0)  # wrong arity
+
+
+def test_lipschitz_expression_goldens():
+    # values of the per-point sampler; they pin the seeded probe stream and its order.
+    # The first two maxima come from the finite-difference probes; the third f is
+    # steepest along diagonals, which only the random pairs probe
+    cases = [
+        (["tanh(x1) - 0.3*xd1", "0.5*sin(x2)*x1 + xd2"], 3.0,
+         1.3403139534154955, 1.461536322520866),
+        (["sin(x1)*xd1", "tanh(x2)", "x3*xd1"], 2.0, 2.1618587424027322, 2.214219713489688),
+        (["tanh(x1 + xd1)", "x2 - xd2"], 3.0, 1.39461232354662, 1.4074727715760342),
+    ]
+    for texts, radius, at_300_seed_7, at_defaults in cases:
+        f = rs.make_nonlinearity(texts, len(texts))
+        box = [(-radius, radius)] * len(texts)
+        est = rs.estimate_lipschitz(f, box, samples=300, seed=7)
+        assert est == pytest.approx(at_300_seed_7, rel=1e-13)
+        assert rs.estimate_lipschitz(f, box) == pytest.approx(at_defaults, rel=1e-13)
+
+
+def test_rows_match_call():
+    rng = np.random.default_rng(5)
+    rows = 400
+    opaque = [
+        rs.make_nonlinearity("paper_example", 3),
+        Nonlinearity(2, fn=lambda x, xd, u: np.array([math.sin(x[0]) * u, xd[0] * x[1]]),
+                     name="opaque"),
+    ]
+    for f in opaque:
+        X, XD = rng.uniform(-5, 5, (2, rows, f.n))
+        U = rng.uniform(-3, 3, rows)
+        out = f.rows(X, XD, U)
+        assert out.shape == (rows, f.n)
+        for i in range(rows):
+            assert np.array_equal(out[i], f(X[i], XD[i], U[i]))
+    # one transcendental function on top of each component: the few-ulp gap of numpy's
+    # tanh, ln and tan is not amplified by a later cancellation
+    f = rs.make_nonlinearity(["tanh(x1 - 0.3*xd1)", "sin(x2*x1 + xd2)*cos(u)",
+                              "ln(1 + x3^2 + abs(xd1*u))", "tan(xd4/8 - x4^3/(1 + u^2))"], 4)
+    X, XD = rng.uniform(-5, 5, (2, rows, 4))
+    U = rng.uniform(-3, 3, rows)
+    out = f.rows(X, XD, U)
+    want = np.array([f(X[i], XD[i], U[i]) for i in range(rows)])
+    assert np.max(ulp_distance(out, want)) <= 4.0
