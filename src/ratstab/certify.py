@@ -29,8 +29,6 @@ from .errors import (
 )
 from .matops import sym_eigenvalues
 
-_THETA_GRID_STEP = 0.1
-
 
 def _margin_pair(theta: float, tau: float, norm: float, k: float) -> tuple[float, float]:
     a = 0.5 * theta - norm * math.log(theta) / (2.0 * tau) - 3.0 * k * norm
@@ -123,38 +121,44 @@ def find_theta_min(tau: float, norm_p: float, norm_s: float, k: float,
                    theta_max: float, tol: float) -> float:
     """Smallest theta in [1, theta_max] with all four margins strictly positive.
 
-    Coarse grid scan at step 0.1 followed by bisection on the last sign
-    change; the margins are smooth but not assumed monotone. Raises
-    NoFeasibleThetaError when no grid point passes.
+    Plain bisection is exact here. For theta >= 1, k >= 0 and tau > 0 every
+    margin falls as its norm grows, so a-d are all positive exactly when a
+    and b are positive at m = max(norm_p, norm_s). If theta = 1 fails, then
+    a(1) <= 0: b(1) <= 0 forces k m >= 1/2 and so a(1) <= -1. From there a
+    is convex in theta and tends to infinity, and b is increasing, so the
+    feasible set is the interval (theta*, infinity) within [1, theta_max].
+
+    Returns exactly 1.0 when theta = 1 is feasible. Otherwise bisects until
+    the bracket is at most ``tol`` wide (or cannot be split in floating
+    point) and returns its feasible end. Raises NoFeasibleThetaError when
+    theta_max fails, and ConfigError unless tau, k, both norms, theta_max
+    and tol are finite with tau > 0, k >= 0, norms > 0, theta_max > 1 and
+    tol > 0.
     """
-    if not theta_max > 1.0:
-        raise ConfigError(f"theta_max must exceed 1, got {theta_max!r}")
-    if not tol > 0.0:
-        raise ConfigError(f"tol must be positive, got {tol!r}")
+    checks = (("tau", tau, tau > 0.0, "> 0"), ("k", k, k >= 0.0, ">= 0"),
+              ("norm_p", norm_p, norm_p > 0.0, "> 0"), ("norm_s", norm_s, norm_s > 0.0, "> 0"),
+              ("theta_max", theta_max, theta_max > 1.0, "> 1"), ("tol", tol, tol > 0.0, "> 0"))
+    for name, value, ok, need in checks:
+        if not (ok and math.isfinite(value)):
+            raise ConfigError(f"{name} must be finite and {need}, got {value!r}")
+    norm = max(norm_p, norm_s)
 
     def feasible(theta: float) -> bool:
-        a, b = _margin_pair(theta, tau, norm_p, k)
-        c, d = _margin_pair(theta, tau, norm_s, k)
-        return min(a, b, c, d) > 0.0
+        a, b = _margin_pair(theta, tau, norm, k)
+        return a > 0.0 and b > 0.0
 
-    count = int(math.floor((theta_max - 1.0) / _THETA_GRID_STEP)) + 1
-    grid = [1.0 + _THETA_GRID_STEP * i for i in range(count)]
-    if grid[-1] < theta_max:
-        grid.append(theta_max)
-    hit = next((i for i, theta in enumerate(grid) if feasible(theta)), None)
-    if hit is None:
+    if feasible(1.0):
+        return 1.0
+    if not feasible(theta_max):
         raise NoFeasibleThetaError(
             f"no theta in [1, {theta_max:g}] satisfies all margins for k={k:g}"
         )
-    if hit == 0:
-        return grid[0]
-    low, high = grid[hit - 1], grid[hit]
+    low, high = 1.0, theta_max
     while high - low > tol:
-        mid = 0.5 * (low + high)
-        if feasible(mid):
-            high = mid
-        else:
-            low = mid
+        mid = low + 0.5 * (high - low)
+        if mid in (low, high):
+            break
+        low, high = (low, mid) if feasible(mid) else (mid, high)
     return high
 
 

@@ -8,6 +8,7 @@ Exit codes: 0 = pass/complete, 1 = condition failure or divergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -258,7 +259,7 @@ def _write_certificate(path: str, payload: dict):
         raise OutputIOError(f"cannot write certificate {path}: {exc}") from exc
 
 
-def _certification(cfg: RunConfig, out_path: str | None, print_advisory: bool = True):
+def _certification(cfg: RunConfig, out_path: str | None):
     """Solve both Lyapunov equations, evaluate all margins, emit the report."""
     sys_spec = build_system(cfg)
     gains = build_gains(cfg)
@@ -271,11 +272,10 @@ def _certification(cfg: RunConfig, out_path: str | None, print_advisory: bool = 
     print(f"  theta = {gains.theta:g}  tau = {sys_spec.tau:g}  k = {sys_spec.lipschitz_k:g}")
     print(f"  ||P|| = {cert_p.spectral_norm:.6f}  (observer solve residual {cert_p.residual:.2e})")
     print(f"  ||S|| = {cert_s.spectral_norm:.6f}  (feedback solve residual {cert_s.residual:.2e})")
-    if print_advisory:
-        advisory = estimate_lipschitz(sys_spec.f, sys_spec.domain_box, seed=cfg.seed)
-        box_text = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in sys_spec.domain_box)
-        print(f"  advisory Lipschitz lower bound over {box_text}: {advisory:.4f}")
-        print("    (region-dependent; the margins below use the declared k)")
+    advisory = estimate_lipschitz(sys_spec.f, sys_spec.domain_box, seed=cfg.seed)
+    box_text = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in sys_spec.domain_box)
+    print(f"  advisory Lipschitz lower bound over {box_text}: {advisory:.4f}")
+    print("    (region-dependent; the margins below use the declared k)")
     for name, value, ok in (("a", report.a, report.pass_a), ("b", report.b, report.pass_b),
                             ("c", report.c, report.pass_c), ("d", report.d, report.pass_d),
                             ("output_feedback", report.of_margin, report.pass_output_feedback)):
@@ -318,7 +318,6 @@ def cmd_certify(args) -> int:
 
 def cmd_synthesize(args) -> int:
     cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
     sys_spec = build_system(cfg)
     gains = build_gains(cfg)
     norm_p = solve_lyapunov(gains.A_L).spectral_norm
@@ -332,19 +331,6 @@ def cmd_synthesize(args) -> int:
     print(f"  margins there: a = {report.a:.6f}  b = {report.b:.6f}  "
           f"c = {report.c:.6f}  d = {report.d:.6f}")
     return 0
-
-
-def _apply_overrides(cfg: RunConfig, args):
-    if getattr(args, "theta", None) is not None:
-        cfg.theta = args.theta
-    if getattr(args, "step", None) is not None:
-        cfg.h = args.step
-    if getattr(args, "horizon", None) is not None:
-        cfg.horizon = args.horizon
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "out", None) is not None:
-        cfg.out_dir = args.out
 
 
 def _simulate(cfg: RunConfig, out_dir: str, csv_name: str = "trajectory.csv"):
@@ -490,12 +476,27 @@ def cmd_repro_paper(args) -> int:
     return 0
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--out", help="output directory (overrides config)")
-    sub.add_argument("--theta", type=float, help="override the gain parameter theta")
-    sub.add_argument("--step", type=float, help="override the integration step h")
-    sub.add_argument("--horizon", type=float, help="override the simulation horizon T")
-    sub.add_argument("--seed", type=int, help="override the sampling seed")
+# config overrides: flag -> (RunConfig field, argparse keywords); each command adds
+# only the flags whose field it reads
+_OVERRIDES = {
+    "out": ("out_dir", {"help": "output directory (overrides config)"}),
+    "theta": ("theta", {"type": float, "help": "override the gain parameter theta"}),
+    "step": ("h", {"type": float, "help": "override the integration step h"}),
+    "horizon": ("horizon", {"type": float, "help": "override the simulation horizon T"}),
+    "seed": ("seed", {"type": int, "help": "override the Lipschitz advisory's sampling seed"}),
+}
+
+
+def _add_overrides(sub, *flags):
+    for flag in flags:
+        sub.add_argument(f"--{flag}", **_OVERRIDES[flag][1])
+
+
+def _apply_overrides(cfg: RunConfig, args):
+    for flag, (field, _) in _OVERRIDES.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            setattr(cfg, field, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,33 +506,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "triangular nonlinear time-delay systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # exact option names only: an abbreviation would let `synthesize --theta 2` set --theta-max
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("certify", help="evaluate all stability margins for a config")
+    p = command("certify", help="evaluate all stability margins for a config")
     p.add_argument("--config", required=True)
-    _add_common_flags(p)
+    _add_overrides(p, "out", "theta", "seed")
     p.set_defaults(handler=cmd_certify)
 
-    p = sub.add_parser("synthesize", help="search the smallest feasible theta")
+    p = command("synthesize", help="search the smallest feasible theta")
     p.add_argument("--config", required=True)
     p.add_argument("--theta-max", type=float, default=100.0)
     p.add_argument("--tol", type=float, default=1e-4)
-    _add_common_flags(p)
     p.set_defaults(handler=cmd_synthesize)
 
-    p = sub.add_parser("simulate", help="run the configured closed-loop scenario")
+    p = command("simulate", help="run the configured closed-loop scenario")
     p.add_argument("--config", required=True)
-    _add_common_flags(p)
+    _add_overrides(p, "out", "theta", "step", "horizon")
     p.set_defaults(handler=cmd_simulate)
 
-    p = sub.add_parser("fit", help="fit decay envelopes to a trajectory CSV column")
+    p = command("fit", help="fit decay envelopes to a trajectory CSV column")
     p.add_argument("csv")
     p.add_argument("--column", default="norm_x")
     p.add_argument("--skip", type=float, default=0.0, help="drop samples with t below this")
     p.set_defaults(handler=cmd_fit)
 
-    p = sub.add_parser("repro-paper", help="re-run the built-in benchmark and compare "
-                                           "against its published reference values")
-    _add_common_flags(p)
+    p = command("repro-paper", help="re-run the built-in benchmark and compare "
+                                     "against its published reference values")
+    _add_overrides(p, "out", "theta", "step", "horizon", "seed")
     p.set_defaults(handler=cmd_repro_paper)
     return parser
 

@@ -44,6 +44,7 @@ import numpy as np
 from .errors import ToolkitError
 
 _MAX_NEST = 150  # parse recursion guard; arbitrary byte strings must not blow the stack
+_MAX_HEIGHT = 300  # AST height guard; free_vars, compile_expr and to_string recurse per level
 
 
 class ExprSyntaxError(ToolkitError):
@@ -186,6 +187,8 @@ class _Parser:
         kind, value, offset = self._peek()
         if kind != "end":
             raise ExprSyntaxError(offset, f"unexpected {value!r}")
+        if _height(e) > _MAX_HEIGHT:
+            raise ExprSyntaxError(0, f"expression tree is more than {_MAX_HEIGHT} levels deep")
         return e
 
     def _expr(self, depth: int) -> Expr:
@@ -241,6 +244,27 @@ class _Parser:
             self._advance()
             return e
         return _raise_expected_value(kind, value, offset)
+
+
+def _children(expr: Expr) -> tuple:
+    if isinstance(expr, Bin):
+        return expr.left, expr.right
+    if isinstance(expr, (Neg, Call)):
+        return (expr.arg,)
+    return ()
+
+
+def _height(expr: Expr) -> int:
+    """Number of levels of the tree, counted without recursion.
+
+    Operator chains such as ``x1+x1+...`` are parsed in a loop, so the parse
+    depth does not bound the height of the left-leaning tree they build.
+    """
+    height, level = 0, [expr]
+    while level:
+        height += 1
+        level = [child for node in level for child in _children(node)]
+    return height
 
 
 def _raise_expected_value(kind, value, offset):
@@ -347,15 +371,13 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
 
 def free_vars(expr: Expr) -> set[str]:
     """Exact set of variable names appearing in the expression."""
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, Neg):
-        return free_vars(expr.arg)
-    if isinstance(expr, Call):
-        return free_vars(expr.arg)
-    if isinstance(expr, Bin):
-        return free_vars(expr.left) | free_vars(expr.right)
-    return set()
+    names, stack = set(), [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            names.add(node.name)
+        stack.extend(_children(node))
+    return names
 
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5

@@ -87,14 +87,20 @@ def test_report_flags_match_margin_signs():
     assert payload["margins"]["a"] == failing.a
 
 
+def _brute_feasible(thetas, tau, norm_p, norm_s, k):
+    """Mask of the grid points where all four margins, written out here, are positive."""
+    mask = np.ones(thetas.shape, dtype=bool)
+    for norm in (norm_p, norm_s):
+        a = 0.5 * thetas - norm * np.log(thetas) / (2.0 * tau) - 3.0 * k * norm
+        b = 0.5 * np.sqrt(thetas) - k * norm
+        mask &= (a > 0.0) & (b > 0.0)
+    return mask
+
+
 def _brute_theta_star(tau, norm_p, norm_s, k, theta_max, step=1e-4):
     thetas = np.arange(1.0, theta_max + step, step)
-    for theta in thetas:
-        a, b = rs.observer_conditions(theta, tau, norm_p, k)
-        c, d = rs.feedback_conditions(theta, tau, norm_s, k)
-        if min(a, b, c, d) > 0.0:
-            return float(theta)
-    return None
+    hits = np.flatnonzero(_brute_feasible(thetas, tau, norm_p, norm_s, k))
+    return float(thetas[hits[0]]) if hits.size else None
 
 
 def test_find_theta_min_k_zero():
@@ -134,6 +140,77 @@ def test_find_theta_min_validation():
         rs.find_theta_min(1.0, 1.0, 1.0, 0.5, 1.0, 1e-6)
     with pytest.raises(ConfigError):
         rs.find_theta_min(1.0, 1.0, 1.0, 0.5, 10.0, 0.0)
+
+
+# (tau, norm_p, norm_s, k, theta_max, tol) of a valid search, and one bad value per case
+_VALID_SEARCH = dict(tau=1.0, norm_p=1.28596, norm_s=1.01694, k=0.5, theta_max=100.0, tol=1e-6)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("tau", 0.0), ("tau", -1.0), ("tau", math.inf), ("tau", math.nan),
+    ("k", -0.5), ("k", math.inf), ("k", math.nan),
+    ("norm_p", -1.0), ("norm_p", 0.0), ("norm_p", math.inf),
+    ("norm_s", -1.0), ("norm_s", 0.0), ("norm_s", math.nan),
+    ("theta_max", math.inf), ("theta_max", math.nan), ("theta_max", 0.5),
+    ("tol", math.inf), ("tol", math.nan), ("tol", -1e-6),
+])
+def test_find_theta_min_rejects_invalid_inputs(name, value):
+    args = dict(_VALID_SEARCH, **{name: value})
+    with pytest.raises(ConfigError, match=name):
+        rs.find_theta_min(**args)
+
+
+def test_find_theta_min_tol_below_float_spacing():
+    # the bracket stops shrinking at adjacent doubles: theta* is feasible, its predecessor not
+    theta_star = rs.find_theta_min(1.0, 1.28596, 1.01694, 0.5, 100.0, 1e-300)
+    below = np.nextafter(theta_star, 0.0)
+    assert _brute_feasible(np.array([theta_star, below]), 1.0, 1.28596, 1.01694, 0.5).tolist() == [
+        True, False]
+
+
+def test_find_theta_min_huge_theta_max():
+    # bisection needs about log2(theta_max / tol) steps: 1e300 costs ~1,010 margin evaluations
+    near = rs.find_theta_min(1.0, 1.28596, 1.01694, 0.5, 100.0, 1e-6)
+    far = rs.find_theta_min(1.0, 1.28596, 1.01694, 0.5, 1e300, 1e-6)
+    assert abs(far - near) <= 1e-6
+    # theta* near 1e12 (b needs theta > (2 k |P|)^2): a bracket of adjacent doubles ends the search
+    theta_star = rs.find_theta_min(1.0, 1e6, 1.0, 0.5, 1e300, 1e-6)
+    assert theta_star == pytest.approx(1e12, rel=1e-6)
+    assert _brute_feasible(np.array([theta_star]), 1.0, 1e6, 1.0, 0.5)[0]
+
+
+def test_find_theta_min_random_against_brute_grid():
+    # 200 seeded cases against a fine grid over [1, theta_max]; one in ten has k = 0 with
+    # |P| > tau, so theta = 1 is feasible but margin a dips negative just above it
+    rng = np.random.default_rng(2026)
+    dips = 0
+    for case in range(200):
+        tau = float(rng.uniform(0.1, 3.0))
+        norm_p, norm_s = (float(v) for v in rng.uniform(0.05, 4.0, 2))
+        if case % 10 == 0:
+            k, norm_p = 0.0, float(rng.uniform(3.0, 20.0)) * tau
+        else:
+            k = float(rng.uniform(0.0, 1.5))
+        theta_max = float(rng.uniform(1.5, 60.0))
+        tol = 10.0 ** float(rng.uniform(-9.0, -3.0))
+        grid = np.linspace(1.0, theta_max, int((theta_max - 1.0) / 1e-3) + 2)
+        step = grid[1] - grid[0]
+        mask = _brute_feasible(grid, tau, norm_p, norm_s, k)
+        if mask[0]:
+            assert rs.find_theta_min(tau, norm_p, norm_s, k, theta_max, tol) == 1.0
+            dips += int(not mask.all())
+            continue
+        if not mask[-1]:
+            with pytest.raises(NoFeasibleThetaError):
+                rs.find_theta_min(tau, norm_p, norm_s, k, theta_max, tol)
+            assert not mask.any()
+            continue
+        theta_star = rs.find_theta_min(tau, norm_p, norm_s, k, theta_max, tol)
+        assert _brute_feasible(np.array([theta_star]), tau, norm_p, norm_s, k)[0]
+        first = int(np.argmax(mask))
+        assert mask[first:].all()  # once theta = 1 fails, the feasible set is an interval
+        assert grid[first] - step - tol <= theta_star <= grid[first] + tol
+    assert dips >= 10
 
 
 def test_alpha_observer_based():

@@ -203,3 +203,59 @@ def test_repro_paper(tmp_path, capsys):
     assert (tmp_path / "out" / "repro_certificate.json").exists()
     assert (tmp_path / "out" / "repro_trajectory.csv").exists()
     assert (tmp_path / "out" / "repro_trajectory.svg").exists()
+
+
+def test_synthesize_theta_max_must_be_finite(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    assert cli.main(["synthesize", "--config", path, "--theta-max", "inf"]) == 2
+    assert "theta_max" in capsys.readouterr().err
+
+
+def test_synthesize_huge_theta_max(tmp_path, capsys):
+    # about a thousand bisection steps from 1e300, to the same printed theta*
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    found = []
+    for theta_max in ("100", "1e300"):
+        assert cli.main(["synthesize", "--config", path, "--theta-max", theta_max,
+                         "--tol", "1e-9"]) == 0
+        line = [s for s in capsys.readouterr().out.splitlines() if "smallest feasible" in s][0]
+        found.append(line)
+    assert found[0] == found[1] == "  smallest feasible theta = 6.205328"
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("certify", "--step", "0.01"), ("certify", "--horizon", "2"),
+    ("synthesize", "--out", "elsewhere"), ("synthesize", "--theta", "2"),
+    ("synthesize", "--step", "0.01"), ("synthesize", "--horizon", "2"),
+    ("synthesize", "--seed", "3"), ("simulate", "--seed", "3"),
+])
+def test_inert_option_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", path, flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_accepted_options_per_command():
+    parser = cli.build_parser()
+    accepted = {
+        "certify": {"--out": "d", "--theta": "2", "--seed": "3"},
+        "simulate": {"--out": "d", "--theta": "2", "--step": "0.01", "--horizon": "2"},
+        "repro-paper": {"--out": "d", "--theta": "2", "--step": "0.01", "--horizon": "2",
+                        "--seed": "3"},
+        "synthesize": {"--theta-max": "50", "--tol": "1e-6"},
+    }
+    for command, options in accepted.items():
+        argv = [command] + (["--config", "c.json"] if command != "repro-paper" else [])
+        for flag, value in options.items():
+            args = parser.parse_args(argv + [flag, value])
+            assert getattr(args, flag[2:].replace("-", "_")) is not None
+
+
+def test_certify_flat_chain_is_an_input_error(tmp_path, capsys):
+    chain = "0.0001*x1+" * 1199 + "0.0001*x1"
+    path = write_config(tmp_path, base_config(tmp_path / "out", **{"system.f": [chain, "0"]}))
+    assert cli.main(["certify", "--config", path]) == 2
+    assert "levels deep" in capsys.readouterr().err

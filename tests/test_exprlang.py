@@ -238,3 +238,34 @@ def test_column_functions_within_4_ulp():
 def test_column_unbound_variable_named():
     with pytest.raises(ExprEvalError, match="xd2"):
         el.compile_expr(el.parse("x1+xd2"), columns=True)({"x1": np.zeros(3)})
+
+
+# --- tree height guard ---------------------------------------------------------------------
+
+
+def test_flat_chain_rejected():
+    # operator chains parse in a loop, so only the tree height bounds them
+    with pytest.raises(ExprSyntaxError, match="levels deep"):
+        el.parse("0.0001*x1+" * 1199 + "0.0001*x1")
+    with pytest.raises(ExprSyntaxError, match="levels deep"):
+        el.parse("x1" + "*x1" * 300)
+    # chains nested in brackets: each level below the parse-depth guard, together too deep
+    nested = "x1"
+    for _ in range(20):
+        nested = "(" + nested + ")" + "+x1" * 19
+    with pytest.raises(ExprSyntaxError, match="levels deep"):
+        el.parse(nested)
+
+
+def test_deepest_accepted_expression_is_walkable():
+    # 149 negations reach the nesting limit, and the bracket holds a 151-level chain:
+    # 300 tree levels, the most parse accepts
+    text = "-" * 149 + "(x1" + "+x1" * 150 + ")"
+    tree = el.parse(text)
+    with pytest.raises(ExprSyntaxError, match="levels deep"):
+        el.parse("-" * 149 + "(x1" + "+x1" * 151 + ")")
+    assert el.free_vars(tree) == {"x1"}
+    assert el.compile_expr(tree)({"x1": 0.5}) == -75.5  # 149 negations flip the sign
+    column = el.compile_expr(tree, columns=True)({"x1": np.array([0.5, 2.0])})
+    assert column.tolist() == [-75.5, -302.0]
+    assert el.parse(el.to_string(tree)) == tree
