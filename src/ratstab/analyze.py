@@ -114,10 +114,6 @@ def bound_check(traj: Trajectory, params: StabilityParams, tol: float) -> bool:
     return True
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.{CSV_DIGITS}g}"
-
-
 def csv_header(traj: Trajectory) -> list[str]:
     names = ["t"] + [f"x{i + 1}" for i in range(traj.n)]
     if traj.xhat is not None:
@@ -139,11 +135,12 @@ def emit_csv(traj: Trajectory, path) -> None:
     if traj.xhat is not None:
         columns.append(traj.norm_err())
     header = ",".join(csv_header(traj))
+    row_format = ",".join([f"%.{CSV_DIGITS}g"] * len(columns)) + "\n"
     try:
         with open(path, "w", newline="\n") as handle:
             handle.write(header + "\n")
             for row in zip(*columns):
-                handle.write(",".join(_fmt(v) for v in row) + "\n")
+                handle.write(row_format % row)
     except OSError as exc:
         raise OutputIOError(f"cannot write CSV {path}: {exc}") from exc
 
@@ -197,7 +194,8 @@ def emit_plot(curves, path, log_y: bool = False, title: str = "") -> None:
     plot_w = _VIEW_W - _MARGIN_L - _MARGIN_R
     plot_h = _VIEW_H - _MARGIN_T - _MARGIN_B
 
-    def to_px(tv: float, yv: float) -> tuple[float, float]:
+    def to_px(tv, yv):
+        # scalars or whole arrays alike, with the same operations per element
         px = _MARGIN_L + (tv - x_lo) / (x_hi - x_lo) * plot_w
         py = _MARGIN_T + (y_hi - yv) / (y_hi - y_lo) * plot_h
         return px, py
@@ -239,7 +237,7 @@ def emit_plot(curves, path, log_y: bool = False, title: str = "") -> None:
         )
     for idx, (label, t, y) in enumerate(curves):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(f"{px:.2f},{py:.2f}" for px, py in (to_px(tv, yv) for tv, yv in zip(t, y)))
+        points = " ".join("%.2f,%.2f" % point for point in zip(*to_px(t, y)))
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{_MARGIN_L + plot_w - 8}" y="{_MARGIN_T + 16 + 14 * idx}" '

@@ -144,7 +144,8 @@ def _paper_example_factory(n: int) -> Nonlinearity:
     # first component x1*cos(x1) + xd1*cos(u), all others zero
     def fn(x, xd, u):
         out = np.zeros(len(x))
-        out[0] = x[0] * math.cos(x[0]) + xd[0] * math.cos(u)
+        x1, xd1 = float(x[0]), float(xd[0])
+        out[0] = x1 * math.cos(x1) + xd1 * math.cos(u)
         return out
 
     return Nonlinearity(n, fn=fn, name="paper_example")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,36 @@ def test_csv_io_error():
         analyze.emit_csv(traj, "/nonexistent-dir/traj.csv")
 
 
+def _per_value_csv(traj: Trajectory) -> bytes:
+    # the CSV written value by value, each with f"{v:.17g}"
+    columns = [traj.t, *traj.x.T]
+    if traj.xhat is not None:
+        columns += [*traj.xhat.T]
+    columns += [traj.u, traj.norm_x()]
+    if traj.xhat is not None:
+        columns.append(traj.norm_err())
+    lines = [",".join(analyze.csv_header(traj))]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("with_observer", [False, True])
+def test_csv_rows_match_per_value_formatting(tmp_path, with_observer):
+    big = 1.7976931348623157e308
+    t = np.array([-0.2, -0.1, -0.0, 0.1, big, 5e-324])
+    x = np.array([[-0.0, 5e-324], [np.inf, 1.0 / 3.0], [-np.inf, -2.5e-300],
+                  [1e-5, -0.0], [0.1, 7.0], [123456789.0, -1e22]])
+    xhat = np.random.default_rng(3).normal(size=x.shape) if with_observer else None
+    u = np.array([0.0, big, -big, np.nan, -0.0, 5e-324])
+    traj = Trajectory(t=t, x=x, xhat=xhat, u=u, theta=4.0, tau=0.2, h=0.1)
+    path = tmp_path / "special.csv"
+    analyze.emit_csv(traj, path)
+    data = path.read_bytes()
+    assert data == _per_value_csv(traj)
+    for text in (b"-0,", b"4.9406564584124654e-324", b"1.7976931348623157e+308", b",inf,", b",-inf,", b"nan"):
+        assert text in data
+
+
 def test_benchmark_csv_roundtrip(tmp_path, bench_system, bench_gains):
     traj = rs.run_scenario(bench_system, bench_gains, rs.Scenario.OBSERVER_BASED,
                            BENCH_X0, BENCH_XHAT0, h=0.01, horizon=2.0)
@@ -188,6 +219,43 @@ def test_plot_log_scale(tmp_path):
     analyze.emit_plot([("a", t, np.exp(-t))], tmp_path / "log.svg", log_y=True)
     with pytest.raises(ContractViolation):
         analyze.emit_plot([("a", t, np.zeros_like(t))], tmp_path / "bad.svg", log_y=True)
+
+
+def _per_point_polylines(curves, log_y: bool) -> list[str]:
+    # each polyline's points, mapped and formatted one point at a time
+    curves = [(np.asarray(t, float), np.log10(y) if log_y else np.asarray(y, float))
+              for _, t, y in curves]
+    x_lo = min(float(np.min(t)) for t, _ in curves)
+    x_hi = max(float(np.max(t)) for t, _ in curves)
+    y_lo = min(float(np.min(y)) for _, y in curves)
+    y_hi = max(float(np.max(y)) for _, y in curves)
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+
+    def to_px(tv, yv):
+        px = 70 + (tv - x_lo) / (x_hi - x_lo) * 710
+        py = 20 + (y_hi - yv) / (y_hi - y_lo) * 435
+        return px, py
+
+    return [" ".join(f"{px:.2f},{py:.2f}" for px, py in (to_px(tv, yv) for tv, yv in zip(t, y)))
+            for t, y in curves]
+
+
+@pytest.mark.parametrize("log_y", [False, True], ids=["linear", "log"])
+def test_plot_points_match_per_point_formatting(tmp_path, log_y):
+    t = np.linspace(-1.0, 10.0, 500)
+    rng = np.random.default_rng(11)
+    if log_y:
+        curves = [("a", t, np.exp(-2.0 * t) * (1.5 + np.sin(5.0 * t))),
+                  ("b", t, rng.uniform(1e-9, 1e3, 500))]
+    else:
+        curves = [("a", t, 40.0 * np.sin(3.0 * t) * np.exp(-0.2 * t)),
+                  ("b", t, rng.normal(size=500))]
+    path = tmp_path / "plot.svg"
+    analyze.emit_plot(curves, path, log_y=log_y)
+    emitted = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+    assert emitted == _per_point_polylines(curves, log_y)
+    assert all(len(points.split(" ")) == 500 for points in emitted)
 
 
 def test_plot_empty_series_rejected(tmp_path):

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import ratstab as rs
-from ratstab.ddesim import HistoryBuffer
+from ratstab.ddesim import DIVERGENCE_GUARD, HistoryBuffer, _closed_loop
 from ratstab.errors import ConfigError, ContractViolation, DivergedError
 
 from conftest import BENCH_X0, BENCH_XHAT0
@@ -228,3 +230,138 @@ def test_observer_scenario_requires_history(bench_system, bench_gains):
     with pytest.raises(ConfigError):
         rs.run_scenario(bench_system, bench_gains, rs.Scenario.OBSERVER_BASED,
                         BENCH_X0, None, h=0.01, horizon=1.0)
+
+
+# --- same arithmetic as a step-by-step RK4 loop ------------------------------
+
+
+def _stepwise_integrate(rhs, phi, tau, h, horizon):
+    """Reference method of steps: one Hermite midpoint per step, the factor
+    (h / 6.0) inside the update, and the divergence guard as two checks
+    (non-finite entries, then the Euclidean norm). integrate must return
+    the same bits and raise at the same time."""
+    m, steps = int(round(tau / h)), int(round(horizon / h))
+    history = phi if callable(phi) else (lambda s: np.asarray(phi, dtype=float))
+    width = len(history(0.0))
+    nodes = [-tau + j * h for j in range(m + 1)]
+    values = np.array([history(s) for s in nodes], dtype=float)
+    delta = min(1e-5 * max(1.0, tau), h)
+    slopes = np.empty((m + 1, width))
+    for j, s in enumerate(nodes):
+        if j == 0:
+            slopes[j] = (-3.0 * history(s) + 4.0 * history(s + delta) - history(s + 2 * delta)) / (2 * delta)
+        elif j == m:
+            slopes[j] = (3.0 * history(s) - 4.0 * history(s - delta) + history(s - 2 * delta)) / (2 * delta)
+        else:
+            slopes[j] = (history(s + delta) - history(s - delta)) / (2 * delta)
+    buffer = HistoryBuffer(t0=-tau, h=h, capacity=m + steps + 1, width=width, break_index=m)
+    buffer.seed(values, slopes)
+    half = 0.5 * h
+    for i in range(steps):
+        t = i * h
+        x = buffer.node(m + i)
+        k1 = np.asarray(rhs(t, x, buffer.node(i)), dtype=float)
+        buffer.set_derivative(m + i, k1)
+        x_mid_delayed = buffer.segment_midpoint(i)
+        k2 = np.asarray(rhs(t + half, x + half * k1, x_mid_delayed), dtype=float)
+        k3 = np.asarray(rhs(t + half, x + half * k2, x_mid_delayed), dtype=float)
+        k4 = np.asarray(rhs(t + h, x + h * k3, buffer.node(i + 1)), dtype=float)
+        advanced = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(advanced)) or np.linalg.norm(advanced) > DIVERGENCE_GUARD:
+            raise DivergedError((i + 1) * h)
+        buffer.append(advanced)
+    return buffer.states.copy()
+
+
+def _matmul_rhs(sys_spec, gains, scenario):
+    # the closed-loop right-hand side written with the @ operator
+    M, _, k, f_blocks = _closed_loop(scenario, gains)
+
+    def rhs(t, z, zd):
+        u = float(k @ z)
+        dz = M @ z
+        for block in f_blocks:
+            dz[block] += sys_spec.f(z[block], zd[block], u)
+        return dz
+
+    return rhs
+
+
+def test_integrate_matches_stepwise_loop_on_benchmark(bench_system, bench_gains):
+    scenario = rs.Scenario.OBSERVER_BASED
+    phi = np.concatenate([BENCH_X0, BENCH_XHAT0])
+    rhs = _matmul_rhs(bench_system, bench_gains, scenario)
+    reference = _stepwise_integrate(rhs, phi, 1.0, 0.002, 3.0)
+    _, states = rs.integrate(rhs, phi, tau=1.0, h=0.002, horizon=3.0)
+    assert np.array_equal(states, reference)
+    traj = rs.run_scenario(bench_system, bench_gains, scenario, BENCH_X0, BENCH_XHAT0,
+                           h=0.002, horizon=3.0)
+    assert np.array_equal(np.hstack([traj.x, traj.xhat]), reference)
+
+
+@pytest.mark.parametrize("tau, h", [(1.0, 0.05), (0.02, 0.01)], ids=["m=20", "m=2"])
+def test_integrate_matches_stepwise_loop_with_callable_history(tau, h):
+    # phi'(0) = 2 differs from the right-hand side at t = 0, so the first
+    # derivative jumps at node m and its left slope enters the midpoints
+    phi = lambda s: np.array([math.cos(3.0 * s) + 2.0 * s])
+    rhs = lambda t, x, xd: -2.0 * xd + np.sin(x)
+    reference = _stepwise_integrate(rhs, phi, tau, h, 3.0)
+    _, states = rs.integrate(rhs, phi, tau=tau, h=h, horizon=3.0)
+    assert np.array_equal(states, reference)
+
+
+def test_block_midpoints_equal_single_segments_across_break():
+    m, width = 6, 2
+    rng = np.random.default_rng(7)
+    buf = HistoryBuffer(t0=-0.6, h=0.1, capacity=3 * m, width=width, break_index=m)
+    values, slopes = rng.normal(size=(m + 1, width)), rng.normal(size=(m + 1, width))
+    buf.seed(values, slopes)
+    for j in range(m, 2 * m):
+        buf.set_derivative(j, rng.normal(size=width))  # overwrites the right slope at node m
+        buf.append(rng.normal(size=width))
+    for start, stop in [(0, m - 1), (1, m + 2), (m - 1, m), (m, 2 * m - 1), (0, 2 * m - 1)]:
+        block = buf.midpoints(start, stop)
+        assert block.shape == (stop - start, width)
+        for row, j in enumerate(range(start, stop)):
+            assert np.array_equal(block[row], buf.segment_midpoint(j))
+    # the segment ending at the break uses the history's own slope there,
+    # not the right-hand side's slope that step 0 stored at node m
+    h = buf.h
+    by_hand = (0.5 * values[m - 1] + h * 0.125 * slopes[m - 1]
+               + 0.5 * values[m] + h * -0.125 * slopes[m])
+    assert np.array_equal(buf.midpoints(m - 1, m)[0], by_hand)
+    with pytest.raises(ContractViolation):
+        buf.midpoints(m + 1, 2 * m + 1)  # its last segment ends past the stored nodes
+    with pytest.raises(ContractViolation):
+        buf.midpoints(3, 3)
+
+
+# --- divergence guard --------------------------------------------------------
+
+
+def _breaks_at(value, t_break):
+    return lambda t, x, xd: np.full(len(x), value) if t >= t_break else -xd
+
+
+@pytest.mark.parametrize("rhs, phi", [
+    (_breaks_at(np.nan, 0.3), np.array([1.0])),
+    (_breaks_at(np.inf, 0.3), np.array([1.0, -2.0])),
+    (_breaks_at(1e15, 0.5), np.array([1.0, -2.0])),
+    (lambda t, x, xd: x * x, np.array([5.0])),
+    (lambda t, x, xd: np.zeros(1), np.array([np.nextafter(DIVERGENCE_GUARD, np.inf)])),
+], ids=["nan", "inf", "past-guard", "blow-up", "one-ulp-past-guard"])
+def test_divergence_guard_matches_stepwise_checks(rhs, phi):
+    with pytest.raises(DivergedError) as expected:
+        _stepwise_integrate(rhs, phi, 0.2, 0.01, 2.0)
+    with pytest.raises(DivergedError) as err:
+        rs.integrate(rhs, phi, tau=0.2, h=0.01, horizon=2.0)
+    assert err.value.time == expected.value.time
+
+
+def test_divergence_guard_admits_the_guard_itself():
+    # a state of norm exactly 1e12 is not past the guard, in either form
+    phi = np.array([DIVERGENCE_GUARD])
+    rhs = lambda t, x, xd: np.zeros(1)
+    _, states = rs.integrate(rhs, phi, tau=0.2, h=0.01, horizon=0.5)
+    assert np.array_equal(states, _stepwise_integrate(rhs, phi, 0.2, 0.01, 0.5))
+    assert np.all(states == DIVERGENCE_GUARD)
