@@ -60,9 +60,6 @@ class DecayFit:
     rational_r2: float
     preferred: str
 
-    def rate_of(self, model: str) -> float:
-        return self.exp_rate if model == "exponential" else self.rational_exponent
-
 
 def _least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     slope, intercept = np.polyfit(x, y, 1)
@@ -154,8 +151,19 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
         raise OutputIOError(f"cannot read CSV {path}: {exc}") from exc
     if not lines:
         raise ContractViolation(f"{path} is empty")
+    if len(lines) < 2:
+        raise ContractViolation(f"{path} line 2: no data rows after the header")
     names = lines[0].split(",")
-    rows = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+    rows = np.empty((len(lines) - 1, len(names)))
+    for number, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(names):
+            raise ContractViolation(
+                f"{path} line {number}: {len(cells)} cells where the header has {len(names)}")
+        try:
+            rows[number - 2] = [float(cell) for cell in cells]
+        except ValueError:
+            raise ContractViolation(f"{path} line {number}: non-numeric cell in {line!r}") from None
     return names, rows
 
 

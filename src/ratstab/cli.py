@@ -19,15 +19,7 @@ import numpy as np
 
 from . import analyze, certify, exprlang
 from .ddesim import Scenario, run_scenario
-from .errors import (
-    ConditionsNotSatisfiedError,
-    ConfigError,
-    ContractViolation,
-    DivergedError,
-    NoFeasibleThetaError,
-    NotHurwitzError,
-    OutputIOError,
-)
+from .errors import ConfigError, DivergedError, NoFeasibleThetaError, OutputIOError, ToolkitError
 from .matops import solve_lyapunov
 from .sysmodel import GainSet, SystemSpec, estimate_lipschitz, make_nonlinearity
 
@@ -350,7 +342,7 @@ def _simulate(cfg: RunConfig, out_dir: str, csv_name: str = "trajectory.csv"):
     analyze.emit_csv(traj, csv_path)
     artifacts = [csv_path]
     if cfg.emit_plots:
-        svg_path = csv_path[:-4] + ".svg" if csv_name.endswith(".csv") else csv_path + ".svg"
+        svg_path = csv_path[:-4] + ".svg"
         curves = [("|x|", traj.t, traj.norm_x())]
         err = traj.norm_err()
         if err is not None:
@@ -395,8 +387,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     names, rows = analyze.read_csv(args.csv)
-    if args.column not in names:
-        raise ConfigError(f"column {args.column!r} not in CSV (has: {', '.join(names)})")
+    for column in ("t", args.column):
+        if column not in names:
+            raise ConfigError(f"column {column!r} not in CSV (has: {', '.join(names)})")
     t = rows[:, names.index("t")]
     y = rows[:, names.index(args.column)]
     keep = (t >= args.skip) & (y > 0.0)
@@ -542,16 +535,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, NotHurwitzError, ContractViolation, ConditionsNotSatisfiedError,
-            exprlang.ExprSyntaxError, exprlang.ExprEvalError, OutputIOError) as exc:
+    except (DivergedError, NoFeasibleThetaError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ToolkitError as exc:  # every other error of the package is an input error
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NoFeasibleThetaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -153,13 +153,15 @@ def _grid_layout(tau: float, h: float, horizon: float) -> tuple[int, int]:
         raise ConfigError(f"step must be positive and finite, got {h!r}")
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ConfigError(f"delay must be positive and finite, got {tau!r}")
+    if not (horizon >= h and math.isfinite(horizon)):
+        raise ConfigError(f"horizon must be finite and at least one step, got T={horizon!r}")
+    if not math.isfinite(tau / h + horizon / h):
+        raise ConfigError(f"too many grid nodes for tau={tau!r}, T={horizon!r} at step h={h!r}")
     m = int(round(tau / h))
     if m < 2 or abs(m * h - tau) > 1e-9 * max(1.0, tau):
         raise ConfigError(
             f"delay must be an integer multiple (>= 2) of the step, got tau={tau!r}, h={h!r}"
         )
-    if not horizon >= h:
-        raise ConfigError(f"horizon must be at least one step, got T={horizon!r}")
     steps = int(round(horizon / h))
     if abs(steps * h - horizon) > 1e-9 * max(1.0, horizon):
         raise ConfigError(f"horizon must sit on the step grid, got T={horizon!r}, h={h!r}")
@@ -178,6 +180,12 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
     probe = phi(0.0) if callable(phi) else np.asarray(phi, dtype=float)
     width = np.asarray(probe, dtype=float).reshape(-1).shape[0]
     history = _as_history_fn(phi, width)
+
+    nodes = m + steps + 1
+    try:
+        buffer = HistoryBuffer(t0=-tau, h=h, capacity=nodes, width=width, break_index=m)
+    except ValueError as exc:  # numpy's dimension limit, not a memory shortage
+        raise ConfigError(f"a grid of {nodes:.3g} nodes exceeds numpy's array size limit") from exc
 
     seed_values = np.empty((m + 1, width))
     for j in range(m + 1):
@@ -198,7 +206,6 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
         else:
             seed_slopes[j] = (history(s + delta) - history(s - delta)) / (2 * delta)
 
-    buffer = HistoryBuffer(t0=-tau, h=h, capacity=m + steps + 1, width=width, break_index=m)
     buffer.seed(seed_values, seed_slopes)
 
     # step i sets the slope of node m + i, so at its start the slopes of

@@ -259,3 +259,52 @@ def test_certify_flat_chain_is_an_input_error(tmp_path, capsys):
     path = write_config(tmp_path, base_config(tmp_path / "out", **{"system.f": [chain, "0"]}))
     assert cli.main(["certify", "--config", path]) == 2
     assert "levels deep" in capsys.readouterr().err
+
+
+def test_simulate_rejects_state_feedback_with_a_pole_at_zero(tmp_path, capsys):
+    # K from poles -1..-10 and 0 makes A + BK singular, so K_1 = 0
+    n = 11
+    L = (-np.poly(-np.arange(1.0, n + 1))[1:]).tolist()
+    K = (-np.poly(np.append(-np.arange(1.0, n), 0.0))[1:][::-1]).tolist()
+    assert K[0] == 0.0
+    cfg = {
+        "system": {"n": n, "tau": 0.1, "lipschitz_k": 0.5, "f": "zero"},
+        "gains": {"L": L, "K": K, "theta": 1.0},
+        "sim": {"h": 0.01, "T": 0.1, "x0": [1.0] * n},
+        "scenario": {"mode": "state_feedback"},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["simulate", "--config", path]) == 2
+    assert "not Hurwitz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--horizon", "inf"), ("repro-paper", "--horizon", "inf"),
+    ("simulate", "--horizon", "1e300"), ("simulate", "--step", "1e-300"),
+])
+def test_unrepresentable_grid_is_an_input_error(tmp_path, capsys, command, flag, value):
+    argv = [command, "--out", str(tmp_path / "out"), flag, value]
+    if command == "simulate":
+        argv += ["--config", write_config(tmp_path, base_config(tmp_path / "out"))]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text, where", [
+    ("t,x1\n0,1\n1,2,3\n", "line 3"),
+    ("t,x1\n0,1\n1,abc\n", "line 3"),
+    ("t,x1\n", "no data rows"),
+], ids=["ragged_row", "non_numeric_cell", "header_only"])
+def test_fit_malformed_csv_is_an_input_error(tmp_path, capsys, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert cli.main(["fit", str(path), "--column", "x1"]) == 2
+    assert where in capsys.readouterr().err
+
+
+def test_fit_needs_a_time_column(tmp_path, capsys):
+    path = tmp_path / "no_t.csv"
+    path.write_text("s,x1\n" + "".join(f"{i},{2.0 ** -i}\n" for i in range(20)))
+    assert cli.main(["fit", str(path), "--column", "x1"]) == 2
+    assert "'t'" in capsys.readouterr().err

@@ -48,6 +48,14 @@ def test_grid_layout_validation():
         rs.integrate(rhs, np.array([1.0]), tau=1.0, h=0.1, horizon=1.23)  # off-grid horizon
 
 
+@pytest.mark.parametrize("h, horizon", [(0.1, math.inf), (0.1, 1e300), (1e-300, 2.0),
+                                        (5e-324, 2.0), (0.1, 1e308)])
+def test_unrepresentable_grid_is_a_config_error(h, horizon):
+    # too many nodes for numpy's index range, or for a float to count
+    with pytest.raises(ConfigError):
+        rs.integrate(lambda t, x, xd: -xd, np.array([1.0]), tau=1.0, h=h, horizon=horizon)
+
+
 def test_divergence_guard():
     # x' = x^2 from x(0) = 5 blows up around t = 0.2
     with pytest.raises(DivergedError) as err:

@@ -180,6 +180,36 @@ def test_hurwitz_marginal_is_conservative():
     assert not rs.is_hurwitz(np.array([[0.0, 1.0], [-1.0, 0.0]]))  # pure imaginary pair
 
 
+def _known_pole_families(n):
+    # (name, poles, Hurwitz?) with every pole real or in a conjugate pair
+    head = lambda k: -np.arange(1, k + 1, dtype=float)
+    families = [
+        ("distinct", head(n), True),
+        ("repeated", -np.ones(n), True),
+        ("near_zero", np.append(head(n - 1), -1e-6), True),
+        ("zero", np.append(head(n - 1), 0.0), False),
+        ("unstable", np.append(-np.ones(n - 1), 0.5), False),
+        ("inside_margin", np.append(head(n - 1), -1e-12), False),  # Re > -1e-9
+    ]
+    if n >= 2:
+        families += [
+            ("damped_pair", np.append(head(n - 2), [-0.1 + 1j, -0.1 - 1j]), True),
+            ("imaginary_pair", np.append(head(n - 2), [1j, -1j]), False),
+        ]
+    return families
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_hurwitz_known_poles_companion_gains(n):
+    # companion gains read off np.poly of known poles, in both closed-loop
+    # forms; the verdict is fixed by the poles, not by a numerical oracle
+    A, B, C = rs.build_companion(n)
+    for name, poles, expected in _known_pole_families(n):
+        c = np.real(np.poly(poles))[1:]
+        for label, M in (("A_L", A + np.outer(-c, C)), ("A_K", A + np.outer(B, -c[::-1]))):
+            assert rs.is_hurwitz(M) == expected, (name, label)
+
+
 def test_delta_theta_values():
     assert np.array_equal(rs.delta_theta(1.0, 4), np.eye(4))
     assert np.allclose(np.diag(rs.delta_theta(2.0, 3)), [1.0, 0.5, 0.25], atol=1e-15)
