@@ -145,10 +145,12 @@ def emit_csv(traj: Trajectory, path) -> None:
 def read_csv(path) -> tuple[list[str], np.ndarray]:
     """Read back an emitted CSV; returns (column names, rows array)."""
     try:
-        with open(path, "r", newline="") as handle:
+        with open(path, "r", newline="", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
     except OSError as exc:
         raise OutputIOError(f"cannot read CSV {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ContractViolation(f"{path} is not UTF-8 text: {exc}") from None
     if not lines:
         raise ContractViolation(f"{path} is empty")
     if len(lines) < 2:

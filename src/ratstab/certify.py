@@ -205,9 +205,8 @@ class StabilityParams:
     dV/dt <= -lam3 V^(1+k) yield the explicit envelope evaluated by
     :func:`rational_bound`. ``r3`` is only set when the certificate came
     from a |history|^r3 dissipation rate, in which case r2 < r3 must hold.
-    ``sigma`` documents a validity radius (None means global). Whether the
-    derived initial-condition exponent ``e`` is <= 1 depends on the route
-    that produced the constants and is not enforced here.
+    Whether the derived initial-condition exponent ``e`` is <= 1 depends on
+    the route that produced the constants and is not enforced here.
     """
 
     lam1: float
@@ -217,7 +216,6 @@ class StabilityParams:
     r2: float
     k: float
     r3: float | None = None
-    sigma: float | None = None
 
     def __post_init__(self):
         for name in ("lam1", "lam2", "lam3", "r1", "r2", "k"):
@@ -272,16 +270,15 @@ def corollary_k(r2: float, r3: float) -> float:
 class FunctionalSpec:
     """Which Lyapunov-Krasovskii functional to evaluate.
 
-    ``matrix`` is the symmetric positive definite quadratic-form matrix,
-    ``transform`` names the coordinate the history samples live in
-    ("eta" for scaled observer error, "chi" for scaled state). theta > 1
-    keeps ln(theta) positive in the decay-rate claim.
+    ``matrix`` is the symmetric positive definite quadratic-form matrix of
+    the scaled coordinate the history samples live in (eta, the scaled
+    observer error, or chi, the scaled state). theta > 1 keeps ln(theta)
+    positive in the decay-rate claim.
     """
 
     matrix: np.ndarray
     theta: float
     tau: float
-    transform: str = "eta"
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
@@ -289,8 +286,6 @@ class FunctionalSpec:
             raise ConfigError(f"theta must exceed 1, got {self.theta!r}")
         if not self.tau > 0.0:
             raise ConfigError(f"tau must be positive, got {self.tau!r}")
-        if self.transform not in ("eta", "chi"):
-            raise ConfigError(f"transform must be 'eta' or 'chi', got {self.transform!r}")
         eigs = sym_eigenvalues(self.matrix)
         if eigs[0] <= 0.0:
             raise ContractViolation("functional matrix must be positive definite")

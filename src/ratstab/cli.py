@@ -83,10 +83,11 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path) as handle:
             raw = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    # ValueError: not UTF-8, or an int past the digit limit; RecursionError: nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(raw)
 
 
@@ -146,7 +147,7 @@ def parse_config(raw: dict) -> RunConfig:
         scenario = raw["scenario"]
         _check_keys("scenario", scenario, ("mode",))
         mode = scenario["mode"]
-        if mode not in _SCENARIOS:
+        if not isinstance(mode, str) or mode not in _SCENARIOS:
             known = ", ".join(sorted(_SCENARIOS))
             raise ConfigError(f"unknown scenario mode {mode!r} (known: {known})")
         cfg.mode = mode
@@ -178,7 +179,7 @@ def _validated_history(value, n: int):
 
 
 def _history_exprs(texts, n: int) -> list:
-    if not isinstance(texts, list) or len(texts) != n:
+    if not isinstance(texts, list) or len(texts) != n or not all(isinstance(t, str) for t in texts):
         raise ConfigError(f"history needs {n} expression strings")
     exprs = []
     for text in texts:
@@ -198,9 +199,8 @@ def build_system(cfg: RunConfig) -> SystemSpec:
     return SystemSpec(n=cfg.n, tau=cfg.tau, f=f, lipschitz_k=cfg.lipschitz_k, domain_box=box)
 
 
-def build_gains(cfg: RunConfig, theta_override: float | None = None) -> GainSet:
-    theta = cfg.theta if theta_override is None else theta_override
-    return GainSet(L=np.asarray(cfg.L), K=np.asarray(cfg.K), theta=theta)
+def build_gains(cfg: RunConfig) -> GainSet:
+    return GainSet(L=np.asarray(cfg.L), K=np.asarray(cfg.K), theta=cfg.theta)
 
 
 def _history_callable(exprs):
@@ -216,18 +216,14 @@ def _history_callable(exprs):
 def build_histories(cfg: RunConfig):
     if cfg.x0 is None:
         raise ConfigError("section 'sim' with 'x0' is required for simulation")
-    if cfg.history == "constant":
-        phi = np.asarray(cfg.x0, dtype=float)
-        phi_hat = np.asarray(cfg.xhat0, dtype=float) if cfg.xhat0 is not None else None
-        return phi, phi_hat
-    phi = _history_callable(cfg.history["x"])
-    if "xhat" in cfg.history:
-        phi_hat = _history_callable(cfg.history["xhat"])
-    elif cfg.xhat0 is not None:
-        phi_hat = np.asarray(cfg.xhat0, dtype=float)
-    else:
-        phi_hat = None
-    return phi, phi_hat
+    exprs = {} if cfg.history == "constant" else cfg.history
+
+    def history(key, values):
+        if key in exprs:
+            return _history_callable(exprs[key])
+        return None if values is None else np.asarray(values, dtype=float)
+
+    return history("x", cfg.x0), history("xhat", cfg.xhat0)
 
 
 def _ensure_out_dir(out_dir: str) -> str:
@@ -251,10 +247,8 @@ def _write_certificate(path: str, payload: dict):
         raise OutputIOError(f"cannot write certificate {path}: {exc}") from exc
 
 
-def _certification(cfg: RunConfig, out_path: str | None):
+def _certification(cfg: RunConfig, sys_spec: SystemSpec, gains: GainSet, out_path: str):
     """Solve both Lyapunov equations, evaluate all margins, emit the report."""
-    sys_spec = build_system(cfg)
-    gains = build_gains(cfg)
     cert_p = solve_lyapunov(gains.A_L)
     cert_s = solve_lyapunov(gains.A_K)
     report = certify.build_report(gains.theta, sys_spec.tau, cert_p.spectral_norm,
@@ -268,12 +262,10 @@ def _certification(cfg: RunConfig, out_path: str | None):
     box_text = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in sys_spec.domain_box)
     print(f"  advisory Lipschitz lower bound over {box_text}: {advisory:.4f}")
     print("    (region-dependent; the margins below use the declared k)")
-    for name, value, ok in (("a", report.a, report.pass_a), ("b", report.b, report.pass_b),
-                            ("c", report.c, report.pass_c), ("d", report.d, report.pass_d),
-                            ("output_feedback", report.of_margin, report.pass_output_feedback)):
-        print(f"  margin {name:>15} = {value: .6f}  {'PASS' if ok else 'FAIL'}")
-
     payload = report.to_dict()
+    for name, value in payload["margins"].items():
+        print(f"  margin {name:>15} = {value: .6f}  {'PASS' if payload['pass'][name] else 'FAIL'}")
+
     payload["lyapunov"] = {
         "P": cert_p.solution.tolist(), "P_residual": cert_p.residual,
         "S": cert_s.solution.tolist(), "S_residual": cert_s.residual,
@@ -294,9 +286,8 @@ def _certification(cfg: RunConfig, out_path: str | None):
             payload["alpha_output_feedback"] = alpha_of
             print(f"  composite weight (output feedback): alpha = {alpha_of:.6g}")
     print(f"  overall: {'PASS' if report.all_pass else 'FAIL'}")
-    if out_path is not None:
-        _write_certificate(out_path, payload)
-        print(f"  certificate written to {out_path}")
+    _write_certificate(out_path, payload)
+    print(f"  certificate written to {out_path}")
     return report, cert_p, cert_s
 
 
@@ -304,7 +295,8 @@ def cmd_certify(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     out_dir = _ensure_out_dir(cfg.out_dir)
-    report, _, _ = _certification(cfg, os.path.join(out_dir, "certificate.json"))
+    report, _, _ = _certification(cfg, build_system(cfg), build_gains(cfg),
+                                  os.path.join(out_dir, "certificate.json"))
     return 0 if report.all_pass else 1
 
 
@@ -325,14 +317,9 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
-def _simulate(cfg: RunConfig, out_dir: str, csv_name: str = "trajectory.csv"):
-    if cfg.mode is None:
-        raise ConfigError("section 'scenario' with 'mode' is required for simulation")
-    if cfg.h is None or cfg.horizon is None:
-        raise ConfigError("section 'sim' with 'h' and 'T' is required for simulation")
+def _simulate(cfg: RunConfig, sys_spec: SystemSpec, gains: GainSet, out_dir: str,
+              csv_name: str = "trajectory.csv"):
     scenario = _SCENARIOS[cfg.mode]
-    sys_spec = build_system(cfg)
-    gains = build_gains(cfg)
     phi, phi_hat = build_histories(cfg)
     if scenario.has_observer and phi_hat is None:
         raise ConfigError(f"scenario '{cfg.mode}' needs 'xhat0' (or an xhat history)")
@@ -341,10 +328,10 @@ def _simulate(cfg: RunConfig, out_dir: str, csv_name: str = "trajectory.csv"):
     csv_path = os.path.join(out_dir, csv_name)
     analyze.emit_csv(traj, csv_path)
     artifacts = [csv_path]
+    norms, err = traj.norm_x(), traj.norm_err()
     if cfg.emit_plots:
         svg_path = csv_path[:-4] + ".svg"
-        curves = [("|x|", traj.t, traj.norm_x())]
-        err = traj.norm_err()
+        curves = [("|x|", traj.t, norms)]
         if err is not None:
             curves.append(("|xhat-x|", traj.t, err))
         analyze.emit_plot(curves, svg_path, title=f"{cfg.mode} trajectory")
@@ -352,20 +339,17 @@ def _simulate(cfg: RunConfig, out_dir: str, csv_name: str = "trajectory.csv"):
 
     steps = int(round(cfg.horizon / cfg.h))
     print(f"simulated {cfg.mode} for T = {cfg.horizon:g} at h = {cfg.h:g} ({steps} steps)")
-    norms = traj.norm_x()
     i0 = traj.index_of(0.0)
     print(f"  ||x(0)|| = {norms[i0]:.6f}   ||x(T)|| = {norms[-1]:.6e}")
-    err = traj.norm_err()
     if err is not None:
         print(f"  ||xhat(0)-x(0)|| = {err[i0]:.6f}   ||xhat(T)-x(T)|| = {err[-1]:.6e}")
-    _print_fit(traj)
+    _print_fit(traj, norms)
     print("artifacts: " + " ".join(artifacts))
-    return traj
 
 
-def _print_fit(traj):
+def _print_fit(traj, norms):
     live = traj.t >= traj.tau  # skip the startup delay interval
-    y = traj.norm_x()[live]
+    y = norms[live]
     t = traj.t[live]
     keep = y > 0.0
     if np.count_nonzero(keep) < 10:
@@ -381,7 +365,11 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     out_dir = _ensure_out_dir(cfg.out_dir)
-    _simulate(cfg, out_dir)
+    if cfg.mode is None:
+        raise ConfigError("section 'scenario' with 'mode' is required for simulation")
+    if cfg.h is None or cfg.horizon is None:
+        raise ConfigError("section 'sim' with 'h' and 'T' is required for simulation")
+    _simulate(cfg, build_system(cfg), build_gains(cfg), out_dir)
     return 0
 
 
@@ -427,20 +415,15 @@ def cmd_repro_paper(args) -> int:
     cfg = reference_config()
     _apply_overrides(cfg, args)
     out_dir = _ensure_out_dir(cfg.out_dir)
-    gains = build_gains(cfg)
+    sys_spec, gains = build_system(cfg), build_gains(cfg)
 
     print("reference reproduction (built-in benchmark)")
     print(f"  gains: L = {cfg.L}  K = {cfg.K}  theta = {cfg.theta:g}  tau = {cfg.tau:g}")
-    report, cert_p, cert_s = _certification(
-        cfg, os.path.join(out_dir, "repro_certificate.json"))
+    _, cert_p, cert_s = _certification(cfg, sys_spec, gains,
+                                       os.path.join(out_dir, "repro_certificate.json"))
 
-    ident = np.eye(2)
-
-    def residual(A, X):
-        return float(np.linalg.norm(A.T @ X + X @ A + ident))
-
-    def residual_transposed(A, X):
-        return float(np.linalg.norm(A @ X + X @ A.T + ident))
+    def residual(A, X):  # of A'X + XA + I; residual(A.T, X) is the transposed convention
+        return float(np.linalg.norm(A.T @ X + X @ A + np.eye(2)))
 
     print("  comparison against the published reference values:")
     print(f"    computed P = {_matrix_text(cert_p.solution)}")
@@ -457,15 +440,15 @@ def cmd_repro_paper(args) -> int:
     print(f"    reference S residual in the equation as written  A'S + SA + I: "
           f"{residual(gains.A_K, _REFERENCE_S):.4f}")
     print(f"    reference S residual in the transposed convention A S + SA' + I: "
-          f"{residual_transposed(gains.A_K, _REFERENCE_S):.4f}  <- fits the transposed equation")
+          f"{residual(gains.A_K.T, _REFERENCE_S):.4f}  <- fits the transposed equation")
     print(f"    reference P residual in the equation as written:  "
           f"{residual(gains.A_L, _REFERENCE_P):.4f}")
     print(f"    reference P residual in the transposed convention: "
-          f"{residual_transposed(gains.A_L, _REFERENCE_P):.4f}  <- fits neither equation")
+          f"{residual(gains.A_L.T, _REFERENCE_P):.4f}  <- fits neither equation")
     print("    the reference norm ||P|| = 1.0682 matches the reference matrix as printed,")
     print("    not the solution of the equation as written; the computed value stands")
 
-    _simulate(cfg, out_dir, csv_name="repro_trajectory.csv")
+    _simulate(cfg, sys_spec, gains, out_dir, csv_name="repro_trajectory.csv")
     return 0
 
 

@@ -186,6 +186,8 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
         buffer = HistoryBuffer(t0=-tau, h=h, capacity=nodes, width=width, break_index=m)
     except ValueError as exc:  # numpy's dimension limit, not a memory shortage
         raise ConfigError(f"a grid of {nodes:.3g} nodes exceeds numpy's array size limit") from exc
+    except MemoryError as exc:
+        raise ConfigError(f"a grid of {nodes:.3g} nodes does not fit in memory") from exc
 
     seed_values = np.empty((m + 1, width))
     for j in range(m + 1):

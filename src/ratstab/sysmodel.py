@@ -20,7 +20,8 @@ from . import exprlang
 from .errors import ConfigError, NotHurwitzError
 from .matops import MAX_DIM, build_companion, delta_theta, is_hurwitz
 
-# f(0, 0, u) = 0 is asserted on this input grid at construction time
+# f(0, 0, u) = 0 is asserted on this input grid at construction time; the
+# Lipschitz advisory cycles u through it
 U_ZERO_GRID = (-10.0, -1.0, 0.0, 1.0, 10.0)
 
 _ZERO_TOL = 1e-9
@@ -145,7 +146,10 @@ def _paper_example_factory(n: int) -> Nonlinearity:
     def fn(x, xd, u):
         out = np.zeros(len(x))
         x1, xd1 = float(x[0]), float(xd[0])
-        out[0] = x1 * math.cos(x1) + xd1 * math.cos(u)
+        try:
+            out[0] = x1 * math.cos(x1) + xd1 * math.cos(u)
+        except ValueError:  # cos of +-inf: nan, as in the expression form
+            out[0] = math.nan
         return out
 
     return Nonlinearity(n, fn=fn, name="paper_example")
@@ -250,6 +254,8 @@ def _validated_box(box, n: int) -> tuple[tuple[float, float], ...]:
     for i, (lo, hi) in enumerate(pairs):
         if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
             raise ConfigError(f"domain box range {i + 1} is empty or inverted: [{lo}, {hi}]")
+        if not math.isfinite(hi - lo):
+            raise ConfigError(f"domain box range {i + 1} has a width that overflows: [{lo}, {hi}]")
     return pairs
 
 
@@ -279,8 +285,6 @@ class SystemSpec:
 # probe step for difference quotients; fixed so that nested boxes see identical probes
 _FD_STEP = 1e-6
 
-_U_PROBE = U_ZERO_GRID
-
 
 def estimate_lipschitz(f: Nonlinearity, box: Sequence, samples: int = 2000, seed: int = 0) -> float:
     """Sampled lower bound on the Lipschitz constant of f over a box.
@@ -290,11 +294,13 @@ def estimate_lipschitz(f: Nonlinearity, box: Sequence, samples: int = 2000, seed
     sweeps (both x and delayed-x coordinates range over the box, the input
     u over a fixed grid). f is evaluated on batches of probe rows, at most
     ``max(samples, 201)`` rows each, through :meth:`Nonlinearity.rows`.
-    Deterministic for a fixed seed. This is advisory: a true Lipschitz
-    constant is at least the returned value.
+    Deterministic for a fixed seed, which must be >= 0. This is advisory:
+    a true Lipschitz constant is at least the returned value.
     """
     if samples < 100:
         raise ConfigError(f"need at least 100 samples, got {samples}")
+    if seed < 0:
+        raise ConfigError(f"the advisory seed must be >= 0, got {seed}")
     n = f.n
     pairs = _validated_box(box, n)
     lo = np.array([p[0] for p in pairs] * 2)  # x block then xd block
@@ -320,7 +326,7 @@ def estimate_lipschitz(f: Nonlinearity, box: Sequence, samples: int = 2000, seed
         return q
 
     # the same stream as drawing p, q per sample, then one p per sample, then the anchors
-    u_cycle = np.resize(np.asarray(_U_PROBE), samples)
+    u_cycle = np.resize(np.asarray(U_ZERO_GRID), samples)
     pairs = lo + rng.random((samples, 2, 2 * n)) * width
     p, q = pairs[:, 0], pairs[:, 1]
     best = top_quotient(p, q, value(p, u_cycle), value(q, u_cycle))

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -308,3 +309,109 @@ def test_fit_needs_a_time_column(tmp_path, capsys):
     path.write_text("s,x1\n" + "".join(f"{i},{2.0 ** -i}\n" for i in range(20)))
     assert cli.main(["fit", str(path), "--column", "x1"]) == 2
     assert "'t'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate", "repro-paper"])
+def test_each_command_builds_its_plant_once(tmp_path, monkeypatch, command):
+    # the same module lookups that perfbench's tracer wraps
+    calls = {"GainSet": 0, "make_nonlinearity": 0}
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in list(calls):
+        monkeypatch.setattr(cli, name, counted(name))
+    argv = [command, "--out", str(tmp_path / "out")]
+    if command == "repro-paper":
+        argv += ["--horizon", "0.5"]
+    else:
+        argv += ["--config", write_config(tmp_path, base_config(tmp_path / "out"))]
+    assert cli.main(argv) == 0
+    assert calls == {"GainSet": 1, "make_nonlinearity": 1}
+
+
+@pytest.mark.parametrize("command, flags, tweaks, seed", [
+    ("certify", ["--seed", "-1"], {}, -1),
+    ("repro-paper", ["--seed", "-1"], {}, -1),
+    ("certify", [], {"sim.seed": -3}, -3),
+], ids=["certify_flag", "repro_paper_flag", "config_sim_seed"])
+def test_negative_advisory_seed_is_an_input_error(tmp_path, capsys, command, flags, tweaks, seed):
+    argv = [command, "--out", str(tmp_path / "out")] + flags
+    if command != "repro-paper":
+        argv += ["--config", write_config(tmp_path, base_config(tmp_path / "out", **tweaks))]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: the advisory seed must be >= 0, got {seed}\n"
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b'{"system": "\xff"}', "can't decode byte 0xff"),
+    pytest.param(b'{"system": {"n": ' + b"1" * 5000 + b"}}", "4300 digits",
+                 marks=pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                          reason="no int digit limit before Python 3.10.7")),
+    (b"[" * 100_000 + b"]" * 100_000, "recursion depth"),
+], ids=["not_utf8", "int_digit_limit", "nested_too_deep"])
+def test_unreadable_config_is_an_input_error(tmp_path, capsys, content, reason):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert cli.main(["certify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {path}: ")
+    assert reason in err
+
+
+def test_fit_non_utf8_csv_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"t,x1\n0,1\xff\n")
+    assert cli.main(["fit", str(path), "--column", "x1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("history", [
+    {"x": ["1+t", 5]}, {"x": ["1+t", "0"], "xhat": ["1+t", 5]},
+], ids=["x", "xhat"])
+def test_history_expression_must_be_a_string(tmp_path, capsys, history):
+    path = write_config(tmp_path, base_config(tmp_path / "out", **{"sim.history": history}))
+    assert cli.main(["simulate", "--config", path]) == 2
+    assert capsys.readouterr().err == "error: history needs 2 expression strings\n"
+
+
+def test_scenario_mode_must_be_a_string(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path / "out", **{"scenario.mode": ["observer"]}))
+    assert cli.main(["certify", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown scenario mode ['observer'] (known: ")
+
+
+@pytest.mark.parametrize("f", ["paper_example", ["x1*cos(x1) + xd1*cos(u)", "0"]],
+                         ids=["registry", "expression"])
+def test_domain_box_width_must_be_a_finite_double(tmp_path, capsys, f):
+    box = [[-1e308, 1e308], [-30.0, 30.0]]
+    path = write_config(tmp_path, base_config(tmp_path / "out",
+                                              **{"system.f": f, "system.domain_box": box}))
+    assert cli.main(["certify", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: domain box range 1 has a width that overflows: [-1e+308, 1e+308]\n")
+
+
+# on the way to the guard numpy warns of 0 * inf in the closed-loop product, with
+# either form of f; only the exit code and the error line are under test here
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("flags, tweaks", [
+    (["--theta", "1e100"], {}), ([], {"sim.x0": [1e308, 1e308]}),
+], ids=["theta_1e100", "x0_1e308"])
+def test_overflowing_loop_is_reported_as_divergence(tmp_path, capsys, flags, tweaks):
+    path = write_config(tmp_path, base_config(tmp_path / "out", **tweaks))
+    assert cli.main(["simulate", "--config", path] + flags) == 1
+    assert capsys.readouterr().err == "error: simulation diverged at t = 0.01\n"
+
+
+def test_grid_beyond_memory_is_an_input_error(tmp_path, capsys):
+    # 1e15 nodes of 4 doubles: 28 PiB, past any 48-bit address space, so it fails at once
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    assert cli.main(["simulate", "--config", path, "--horizon", "1e13"]) == 2
+    assert capsys.readouterr().err == "error: a grid of 1e+15 nodes does not fit in memory\n"

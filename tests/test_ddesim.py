@@ -373,3 +373,9 @@ def test_divergence_guard_admits_the_guard_itself():
     _, states = rs.integrate(rhs, phi, tau=0.2, h=0.01, horizon=0.5)
     assert np.array_equal(states, _stepwise_integrate(rhs, phi, 0.2, 0.01, 0.5))
     assert np.all(states == DIVERGENCE_GUARD)
+
+
+def test_grid_beyond_memory_is_a_config_error():
+    # 1e15 nodes of 4 doubles: 28 PiB, past any 48-bit address space, so it fails at once
+    with pytest.raises(ConfigError, match="1e\\+15 nodes does not fit in memory"):
+        rs.integrate(lambda t, x, xd: -xd, np.zeros(4), tau=1.0, h=0.01, horizon=1e13)

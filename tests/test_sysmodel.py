@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -233,3 +234,14 @@ def test_rows_match_call():
     out = f.rows(X, XD, U)
     want = np.array([f(X[i], XD[i], U[i]) for i in range(rows)])
     assert np.max(ulp_distance(out, want)) <= 4.0
+
+
+def test_paper_example_registry_equals_its_expression():
+    # nan where math.cos raises (cos of +-inf), as in the expression's scalar table
+    registry = rs.make_nonlinearity("paper_example", 2)
+    expression = rs.make_nonlinearity(["x1*cos(x1) + xd1*cos(u)", "0"], 2)
+    values = (0.0, 1.0, -1.0, 1e300, -1e300, math.inf, -math.inf, math.nan)
+    for i, (x1, xd1, u) in enumerate(itertools.product(values, repeat=3)):
+        x = np.array([x1, values[i % len(values)]])
+        xd = np.array([xd1, values[(i // 3) % len(values)]])
+        assert np.array_equal(registry(x, xd, u), expression(x, xd, u), equal_nan=True), (x, xd, u)
