@@ -247,8 +247,9 @@ def _write_certificate(path: str, payload: dict):
         raise OutputIOError(f"cannot write certificate {path}: {exc}") from exc
 
 
-def _certification(cfg: RunConfig, sys_spec: SystemSpec, gains: GainSet, out_path: str):
-    """Solve both Lyapunov equations, evaluate all margins, emit the report."""
+def _certification(sys_spec: SystemSpec, gains: GainSet, advisory: float, out_path: str):
+    """Solve both Lyapunov equations, evaluate all margins, emit the report. Callers
+    run the advisory before any output, since it rejects a negative seed."""
     cert_p = solve_lyapunov(gains.A_L)
     cert_s = solve_lyapunov(gains.A_K)
     report = certify.build_report(gains.theta, sys_spec.tau, cert_p.spectral_norm,
@@ -258,7 +259,6 @@ def _certification(cfg: RunConfig, sys_spec: SystemSpec, gains: GainSet, out_pat
     print(f"  theta = {gains.theta:g}  tau = {sys_spec.tau:g}  k = {sys_spec.lipschitz_k:g}")
     print(f"  ||P|| = {cert_p.spectral_norm:.6f}  (observer solve residual {cert_p.residual:.2e})")
     print(f"  ||S|| = {cert_s.spectral_norm:.6f}  (feedback solve residual {cert_s.residual:.2e})")
-    advisory = estimate_lipschitz(sys_spec.f, sys_spec.domain_box, seed=cfg.seed)
     box_text = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in sys_spec.domain_box)
     print(f"  advisory Lipschitz lower bound over {box_text}: {advisory:.4f}")
     print("    (region-dependent; the margins below use the declared k)")
@@ -295,7 +295,9 @@ def cmd_certify(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     out_dir = _ensure_out_dir(cfg.out_dir)
-    report, _, _ = _certification(cfg, build_system(cfg), build_gains(cfg),
+    sys_spec, gains = build_system(cfg), build_gains(cfg)
+    advisory = estimate_lipschitz(sys_spec.f, sys_spec.domain_box, seed=cfg.seed)
+    report, _, _ = _certification(sys_spec, gains, advisory,
                                   os.path.join(out_dir, "certificate.json"))
     return 0 if report.all_pass else 1
 
@@ -416,10 +418,11 @@ def cmd_repro_paper(args) -> int:
     _apply_overrides(cfg, args)
     out_dir = _ensure_out_dir(cfg.out_dir)
     sys_spec, gains = build_system(cfg), build_gains(cfg)
+    advisory = estimate_lipschitz(sys_spec.f, sys_spec.domain_box, seed=cfg.seed)
 
     print("reference reproduction (built-in benchmark)")
     print(f"  gains: L = {cfg.L}  K = {cfg.K}  theta = {cfg.theta:g}  tau = {cfg.tau:g}")
-    _, cert_p, cert_s = _certification(cfg, sys_spec, gains,
+    _, cert_p, cert_s = _certification(sys_spec, gains, advisory,
                                        os.path.join(out_dir, "repro_certificate.json"))
 
     def residual(A, X):  # of A'X + XA + I; residual(A.T, X) is the transposed convention

@@ -195,46 +195,48 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
     if not np.all(np.isfinite(seed_values)):
         raise ConfigError("initial history contains non-finite values")
 
-    # slopes of the history callable; one-sided second-order stencils at the
-    # ends, step capped by h so no evaluation leaves [-tau, 0]
-    delta = min(_PHI_SLOPE_STEP_SCALE * max(1.0, tau), h)
-    seed_slopes = np.empty((m + 1, width))
-    for j in range(m + 1):
-        s = -tau + j * h
-        if j == 0:
-            seed_slopes[j] = (-3.0 * history(s) + 4.0 * history(s + delta) - history(s + 2 * delta)) / (2 * delta)
-        elif j == m:
-            seed_slopes[j] = (3.0 * history(s) - 4.0 * history(s - delta) + history(s - 2 * delta)) / (2 * delta)
-        else:
-            seed_slopes[j] = (history(s + delta) - history(s - delta)) / (2 * delta)
+    # numpy stays silent on overflow: only the divergence guard reports it
+    with np.errstate(all="ignore"):
+        # slopes of the history callable; one-sided second-order stencils at the
+        # ends, step capped by h so no evaluation leaves [-tau, 0]
+        delta = min(_PHI_SLOPE_STEP_SCALE * max(1.0, tau), h)
+        seed_slopes = np.empty((m + 1, width))
+        for j in range(m + 1):
+            s = -tau + j * h
+            if j == 0:
+                seed_slopes[j] = (-3.0 * history(s) + 4.0 * history(s + delta) - history(s + 2 * delta)) / (2 * delta)
+            elif j == m:
+                seed_slopes[j] = (3.0 * history(s) - 4.0 * history(s - delta) + history(s - 2 * delta)) / (2 * delta)
+            else:
+                seed_slopes[j] = (history(s + delta) - history(s - delta)) / (2 * delta)
 
-    buffer.seed(seed_values, seed_slopes)
+        buffer.seed(seed_values, seed_slopes)
 
-    # step i sets the slope of node m + i, so at its start the slopes of
-    # segments i .. i + m - 2 are all known: their delayed midpoints are
-    # computed together, one block of m - 1 rows per m - 1 steps
-    block = m - 1
-    half = 0.5 * h
-    sixth = h / 6.0
-    for i in range(steps):
-        if i % block == 0:
-            delayed_mids = buffer.midpoints(i, min(i + block, steps))
-        t = i * h
-        node = m + i
-        x = buffer.node(node)
-        k1 = np.asarray(rhs(t, x, buffer.node(i)), dtype=float)
-        buffer.set_derivative(node, k1)
-        x_mid_delayed = delayed_mids[i % block]
-        k2 = np.asarray(rhs(t + half, x + half * k1, x_mid_delayed), dtype=float)
-        k3 = np.asarray(rhs(t + half, x + half * k2, x_mid_delayed), dtype=float)
-        k4 = np.asarray(rhs(t + h, x + h * k3, buffer.node(i + 1)), dtype=float)
-        advanced = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # nan or inf fails the comparison, so one reduction covers both checks
-        if not math.sqrt(advanced.dot(advanced)) <= DIVERGENCE_GUARD:
-            raise DivergedError((i + 1) * h)
-        buffer.append(advanced)
-    final = m + steps
-    buffer.set_derivative(final, np.asarray(rhs(steps * h, buffer.node(final), buffer.node(steps)), dtype=float))
+        # step i sets the slope of node m + i, so at its start the slopes of
+        # segments i .. i + m - 2 are all known: their delayed midpoints are
+        # computed together, one block of m - 1 rows per m - 1 steps
+        block = m - 1
+        half = 0.5 * h
+        sixth = h / 6.0
+        for i in range(steps):
+            if i % block == 0:
+                delayed_mids = buffer.midpoints(i, min(i + block, steps))
+            t = i * h
+            node = m + i
+            x = buffer.node(node)
+            k1 = np.asarray(rhs(t, x, buffer.node(i)), dtype=float)
+            buffer.set_derivative(node, k1)
+            x_mid_delayed = delayed_mids[i % block]
+            k2 = np.asarray(rhs(t + half, x + half * k1, x_mid_delayed), dtype=float)
+            k3 = np.asarray(rhs(t + half, x + half * k2, x_mid_delayed), dtype=float)
+            k4 = np.asarray(rhs(t + h, x + h * k3, buffer.node(i + 1)), dtype=float)
+            advanced = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # nan or inf fails the comparison, so one reduction covers both checks
+            if not math.sqrt(advanced.dot(advanced)) <= DIVERGENCE_GUARD:
+                raise DivergedError((i + 1) * h)
+            buffer.append(advanced)
+        final = m + steps
+        buffer.set_derivative(final, np.asarray(rhs(steps * h, buffer.node(final), buffer.node(steps)), dtype=float))
 
     t = np.arange(-m, steps + 1, dtype=float) * h
     return t, buffer.states.copy()

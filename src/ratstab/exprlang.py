@@ -320,15 +320,7 @@ def _build(expr: Expr, ops: Mapping[str, Callable]) -> Callable:
         value = expr.value
         return lambda env: value
     if isinstance(expr, Var):
-        name = expr.name
-
-        def var(env):
-            try:
-                return env[name]
-            except KeyError:
-                raise ExprEvalError(f"unbound variable {name!r}") from None
-
-        return var
+        return operator.itemgetter(expr.name)
     if isinstance(expr, Neg):
         op, arg = ops["neg"], _build(expr.arg, ops)
         return lambda env: op(arg(env))
@@ -348,15 +340,18 @@ def compile_expr(expr: Expr, columns: bool = False) -> Callable[[Mapping], float
     expression reads no variable. Every variable read must be bound, or
     the call raises ExprEvalError naming it.
     """
-    if not columns:
-        return _build(expr, _SCALAR_OPS)
-    fn = _build(expr, _COLUMN_OPS)
+    fn = _build(expr, _COLUMN_OPS if columns else _SCALAR_OPS)
 
-    def on_columns(env):
-        with np.errstate(all="ignore"):
+    def compiled(env):
+        try:
+            if columns:
+                with np.errstate(all="ignore"):
+                    return fn(env)
             return fn(env)
+        except KeyError as exc:  # only a variable lookup raises it, in either table
+            raise ExprEvalError(f"unbound variable {exc.args[0]!r}") from None
 
-    return on_columns
+    return compiled
 
 
 def evaluate(expr: Expr, env: Mapping[str, float]) -> float:

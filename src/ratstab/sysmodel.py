@@ -143,13 +143,12 @@ def _zero_factory(n: int) -> Nonlinearity:
 
 def _paper_example_factory(n: int) -> Nonlinearity:
     # first component x1*cos(x1) + xd1*cos(u), all others zero
+    cos = exprlang.FUNCTIONS["cos"]  # nan at +-inf, as in the expression form
+
     def fn(x, xd, u):
         out = np.zeros(len(x))
         x1, xd1 = float(x[0]), float(xd[0])
-        try:
-            out[0] = x1 * math.cos(x1) + xd1 * math.cos(u)
-        except ValueError:  # cos of +-inf: nan, as in the expression form
-            out[0] = math.nan
+        out[0] = x1 * cos(x1) + xd1 * cos(u)
         return out
 
     return Nonlinearity(n, fn=fn, name="paper_example")
@@ -295,7 +294,8 @@ def estimate_lipschitz(f: Nonlinearity, box: Sequence, samples: int = 2000, seed
     u over a fixed grid). f is evaluated on batches of probe rows, at most
     ``max(samples, 201)`` rows each, through :meth:`Nonlinearity.rows`.
     Deterministic for a fixed seed, which must be >= 0. This is advisory:
-    a true Lipschitz constant is at least the returned value.
+    a true Lipschitz constant is at least the returned value, which is inf
+    when f is not finite at some probe.
     """
     if samples < 100:
         raise ConfigError(f"need at least 100 samples, got {samples}")
@@ -312,11 +312,11 @@ def estimate_lipschitz(f: Nonlinearity, box: Sequence, samples: int = 2000, seed
         return f.rows(points[:, :n], points[:, n:], np.broadcast_to(u, len(points)))
 
     def top_quotient(p: np.ndarray, q: np.ndarray, fp: np.ndarray, fq: np.ndarray) -> float:
-        # largest |f(p) - f(q)| / |p - q| over the rows; a nan quotient is skipped, p = q is 0
+        # largest |f(p) - f(q)| / |p - q| over the rows; p = q is 0, nan (f not finite) is inf
         with np.errstate(all="ignore"):
             gap = np.linalg.norm(p - q, axis=1)
             ratio = np.linalg.norm(fp - fq, axis=1) / np.where(gap == 0.0, np.inf, gap)
-        return max(0.0, float(np.fmax.reduce(ratio)))
+        return float(np.max(np.where(np.isnan(ratio), np.inf, ratio)))
 
     def fd_partner(p: np.ndarray, axis) -> np.ndarray:
         # p moved by _FD_STEP along its axis, inward at the upper edge
@@ -339,17 +339,12 @@ def estimate_lipschitz(f: Nonlinearity, box: Sequence, samples: int = 2000, seed
     anchors = [0.5 * (lo + hi)] + [lo + rng.random(2 * n) * width for _ in range(2)]
     grid_points = 201
     for c in range(2 * n):
-        ticks = np.linspace(lo[c], hi[c], grid_points)
-        gaps = np.diff(ticks)
         for anchor in anchors:
             p = np.tile(anchor, (grid_points, 1))
-            p[:, c] = ticks
+            p[:, c] = np.linspace(lo[c], hi[c], grid_points)
             q = fd_partner(p, c)
             for u in (-1.0, 0.0, 1.0):
                 fp = value(p, u)
-                with np.errstate(all="ignore"):
-                    jumps = np.linalg.norm(np.diff(fp, axis=0), axis=1)
-                    line = float(np.max(jumps / gaps))
-                best = max(best, line)  # a nan anywhere on the line drops the line
+                best = max(best, top_quotient(p[1:], p[:-1], fp[1:], fp[:-1]))  # adjacent nodes
                 best = max(best, top_quotient(p, q, fp, value(q, u)))
     return best

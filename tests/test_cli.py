@@ -346,7 +346,9 @@ def test_negative_advisory_seed_is_an_input_error(tmp_path, capsys, command, fla
     if command != "repro-paper":
         argv += ["--config", write_config(tmp_path, base_config(tmp_path / "out", **tweaks))]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == f"error: the advisory seed must be >= 0, got {seed}\n"
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: the advisory seed must be >= 0, got {seed}\n"
 
 
 @pytest.mark.parametrize("content, reason", [
@@ -398,9 +400,14 @@ def test_domain_box_width_must_be_a_finite_double(tmp_path, capsys, f):
         "error: domain box range 1 has a width that overflows: [-1e+308, 1e+308]\n")
 
 
-# on the way to the guard numpy warns of 0 * inf in the closed-loop product, with
-# either form of f; only the exit code and the error line are under test here
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_certify_prints_an_infinite_advisory_for_an_overflowing_f(tmp_path, capsys):
+    tweaks = {"system.f": ["x1*x1", "0"], "system.domain_box": [[-8e307, 8e307], [-1.0, 1.0]]}
+    path = write_config(tmp_path, base_config(tmp_path / "out", **tweaks))
+    assert cli.main(["certify", "--config", path]) == 0  # the margins use the declared k
+    assert ("  advisory Lipschitz lower bound over [-8e+307, 8e+307], [-1, 1]: inf\n"
+            in capsys.readouterr().out)
+
+
 @pytest.mark.parametrize("flags, tweaks", [
     (["--theta", "1e100"], {}), ([], {"sim.x0": [1e308, 1e308]}),
 ], ids=["theta_1e100", "x0_1e308"])

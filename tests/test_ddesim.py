@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +365,16 @@ def test_divergence_guard_matches_stepwise_checks(rhs, phi):
     with pytest.raises(DivergedError) as err:
         rs.integrate(rhs, phi, tau=0.2, h=0.01, horizon=2.0)
     assert err.value.time == expected.value.time
+
+
+def test_overflow_is_reported_by_the_guard_alone():
+    # the first stage overflows M x; numpy must not warn before the guard raises
+    M = np.array([[0.0, 1e200], [-1e200, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergedError) as err:
+            rs.integrate(lambda t, x, xd: M.dot(x), [1.0, 1.0], tau=0.2, h=0.01, horizon=2.0)
+    assert err.value.time == 0.01
 
 
 def test_divergence_guard_admits_the_guard_itself():

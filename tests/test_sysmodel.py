@@ -210,6 +210,30 @@ def test_lipschitz_expression_goldens():
         assert rs.estimate_lipschitz(f, box) == pytest.approx(at_defaults, rel=1e-13)
 
 
+def test_lipschitz_non_finite_f_reads_inf():
+    # f is not finite at some probe: x1*x1 overflows, sqrt(x1) is nan for x1 < 0
+    f = rs.make_nonlinearity(["x1*x1", "0"], 2)
+    assert rs.estimate_lipschitz(f, [(-8e307, 8e307), (-1, 1)]) == math.inf
+    f = rs.make_nonlinearity(["sqrt(x1)*x1", "0"], 2)
+    assert rs.estimate_lipschitz(f, [(-1, 1)] * 2) == math.inf
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lipschitz_of_linear_f_lies_between_column_and_spectral_norm(seed):
+    # f = F (x, xd) with lower-triangular blocks: every quotient is at most ||F||_2,
+    # and the axis probes of the steepest column reach its norm
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    F = np.hstack([np.tril(rng.uniform(-2.0, 2.0, (n, n))) for _ in range(2)])
+    names = [f"x{j + 1}" for j in range(n)] + [f"xd{j + 1}" for j in range(n)]
+    texts = [" + ".join(f"({c!r})*{v}" for c, v in zip(row.tolist(), names) if c != 0.0)
+             for row in F]
+    f = rs.make_nonlinearity(texts, n)
+    box = [(-3.0, 3.0)] * n
+    est = rs.estimate_lipschitz(f, box, samples=200, seed=seed)
+    assert np.max(np.linalg.norm(F, axis=0)) <= est <= np.linalg.norm(F, 2)
+
+
 def test_rows_match_call():
     rng = np.random.default_rng(5)
     rows = 400
