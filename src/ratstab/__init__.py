@@ -8,10 +8,12 @@ Lyapunov-Krasovskii functional decrease along trajectories.
 
 from .analyze import DecayFit, DecayReport, bound_check, emit_csv, emit_plot, fit_envelope, verify_decay
 from .certify import (
+    Certification,
     ConditionReport,
     FunctionalSpec,
     StabilityParams,
     build_report,
+    certify_gains,
     corollary_k,
     feedback_conditions,
     find_theta_min,

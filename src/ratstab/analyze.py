@@ -96,6 +96,17 @@ def fit_envelope(t, y) -> DecayFit:
     )
 
 
+def fit_tail(t, y, t_min: float) -> tuple[DecayFit | None, int]:
+    """Fit decay envelopes to the samples with t >= t_min and y > 0.
+
+    Returns (fit, count) with count the number of kept samples; fit is None
+    when fewer than 10 are kept.
+    """
+    keep = (t >= t_min) & (y > 0.0)
+    count = int(np.count_nonzero(keep))
+    return (fit_envelope(t[keep], y[keep]) if count >= 10 else None), count
+
+
 def bound_check(traj: Trajectory, params: StabilityParams, tol: float) -> bool:
     """True iff |x(t)| stays under the rational envelope (with headroom tol).
 

@@ -21,29 +21,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import matops
 from .errors import (
     ConditionsNotSatisfiedError,
     ConfigError,
     ContractViolation,
     NoFeasibleThetaError,
 )
-from .matops import sym_eigenvalues
+
+ALPHA_MARGIN = 0.1  # relative distance of each composite weight from its bound
 
 
 def _margin_pair(theta: float, tau: float, norm: float, k: float) -> tuple[float, float]:
+    """Margins (a, b) for the observer Lyapunov norm |P|, or (c, d) for the
+    feedback Lyapunov norm |S|: the same two formulas in either norm."""
     a = 0.5 * theta - norm * math.log(theta) / (2.0 * tau) - 3.0 * k * norm
     b = 0.5 * math.sqrt(theta) - k * norm
     return a, b
 
 
-def observer_conditions(theta: float, tau: float, norm_p: float, k: float):
-    """Observer margins (a, b) for the given norm of the observer Lyapunov solution."""
-    return _margin_pair(theta, tau, norm_p, k)
-
-
-def feedback_conditions(theta: float, tau: float, norm_s: float, k: float):
-    """Feedback margins (c, d); same formulas with the feedback Lyapunov norm."""
-    return _margin_pair(theta, tau, norm_s, k)
+observer_conditions = feedback_conditions = _margin_pair
 
 
 def output_feedback_condition(theta: float, tau: float, norm_s: float, k: float) -> float:
@@ -88,10 +85,6 @@ class ConditionReport:
         return self.d > 0.0
 
     @property
-    def pass_output_feedback(self) -> bool:
-        return self.of_margin > 0.0
-
-    @property
     def all_pass(self) -> bool:
         return self.pass_a and self.pass_b and self.pass_c and self.pass_d
 
@@ -105,7 +98,7 @@ class ConditionReport:
             "margins": {"a": self.a, "b": self.b, "c": self.c, "d": self.d,
                         "output_feedback": self.of_margin},
             "pass": {"a": self.pass_a, "b": self.pass_b, "c": self.pass_c,
-                     "d": self.pass_d, "output_feedback": self.pass_output_feedback,
+                     "d": self.pass_d, "output_feedback": self.pass_c,
                      "all": self.all_pass},
         }
 
@@ -163,7 +156,7 @@ def find_theta_min(tau: float, norm_p: float, norm_s: float, k: float,
 
 
 def select_alpha_observer_based(theta: float, a: float, c: float, norm_s: float,
-                                norm_k: float, margin: float = 0.1):
+                                norm_k: float, margin: float = ALPHA_MARGIN):
     """Weight for the composite functional alpha*V + W in the observer-based loop.
 
     Returns (alpha, threshold) where threshold = 2 theta^2 |S|^2 |K|^2 / (a c)
@@ -179,7 +172,7 @@ def select_alpha_observer_based(theta: float, a: float, c: float, norm_s: float,
 
 
 def select_alpha_output_feedback(c: float, d: float, k: float, norm_p: float,
-                                 margin: float = 0.1) -> float:
+                                 margin: float = ALPHA_MARGIN) -> float:
     """Composite-functional weight for the output-feedback loop.
 
     The selection rule is alpha < min(c, d) / (k |P|); the returned value
@@ -195,6 +188,51 @@ def select_alpha_output_feedback(c: float, d: float, k: float, norm_p: float,
             f"need c, d, norm_p > 0 and k >= 0, got c={c:g}, d={d:g}, k={k:g}, norm_p={norm_p:g}"
         )
     return min(c, d) / (k * norm_p) * (1.0 - margin)
+
+
+@dataclass(frozen=True)
+class Certification:
+    """One gain set's certificate: margins, Lyapunov solutions, advisory, weights.
+
+    Each weight is None unless its margins pass: a and c for the observer-based
+    (alpha, threshold), c and d for the output-feedback alpha, which is inf at k = 0.
+    """
+
+    report: ConditionReport
+    cert_p: matops.LyapunovCertificate
+    cert_s: matops.LyapunovCertificate
+    advisory: float
+    alpha_observer_based: tuple[float, float] | None
+    alpha_output_feedback: float | None
+
+    def to_dict(self) -> dict:
+        """The certificate.json payload; an unconstrained weight is written as null."""
+        payload = self.report.to_dict()
+        payload["lyapunov"] = {
+            "P": self.cert_p.solution.tolist(), "P_residual": self.cert_p.residual,
+            "S": self.cert_s.solution.tolist(), "S_residual": self.cert_s.residual,
+        }
+        if self.alpha_observer_based is not None:
+            alpha, threshold = self.alpha_observer_based
+            payload["alpha_observer_based"] = {"alpha": alpha, "threshold": threshold}
+        if self.alpha_output_feedback is not None:
+            alpha_of = self.alpha_output_feedback
+            payload["alpha_output_feedback"] = None if math.isinf(alpha_of) else alpha_of
+        return payload
+
+
+def certify_gains(gains, tau: float, k: float, advisory: float) -> Certification:
+    """Solve both Lyapunov equations of a GainSet and evaluate the certificate."""
+    cert_p = matops.solve_lyapunov(gains.A_L)
+    cert_s = matops.solve_lyapunov(gains.A_K)
+    report = build_report(gains.theta, tau, cert_p.spectral_norm, cert_s.spectral_norm, k)
+    alpha_ob = alpha_of = None
+    if report.pass_a and report.pass_c:
+        alpha_ob = select_alpha_observer_based(gains.theta, report.a, report.c,
+                                               cert_s.spectral_norm, float(np.linalg.norm(gains.K)))
+    if report.pass_c and report.pass_d:
+        alpha_of = select_alpha_output_feedback(report.c, report.d, k, cert_p.spectral_norm)
+    return Certification(report, cert_p, cert_s, advisory, alpha_ob, alpha_of)
 
 
 @dataclass(frozen=True)
@@ -286,7 +324,7 @@ class FunctionalSpec:
             raise ConfigError(f"theta must exceed 1, got {self.theta!r}")
         if not self.tau > 0.0:
             raise ConfigError(f"tau must be positive, got {self.tau!r}")
-        eigs = sym_eigenvalues(self.matrix)
+        eigs = matops.sym_eigenvalues(self.matrix)
         if eigs[0] <= 0.0:
             raise ContractViolation("functional matrix must be positive definite")
 

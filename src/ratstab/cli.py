@@ -23,8 +23,6 @@ from .errors import ConfigError, DivergedError, NoFeasibleThetaError, OutputIOEr
 from .matops import solve_lyapunov
 from .sysmodel import GainSet, SystemSpec, estimate_lipschitz, make_nonlinearity
 
-_ALPHA_MARGIN = 0.1
-
 _SCENARIOS = {s.value: s for s in Scenario}
 
 
@@ -238,68 +236,44 @@ def _matrix_text(M: np.ndarray) -> str:
     return "[" + ", ".join("[" + ", ".join(f"{v:.8f}" for v in row) + "]" for row in M) + "]"
 
 
-def _write_certificate(path: str, payload: dict):
-    try:
-        with open(path, "w", newline="\n") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-    except OSError as exc:
-        raise OutputIOError(f"cannot write certificate {path}: {exc}") from exc
-
-
-def _certification(sys_spec: SystemSpec, gains: GainSet, advisory: float, out_path: str):
-    """Solve both Lyapunov equations, evaluate all margins, emit the report. Callers
-    run the advisory before any output, since it rejects a negative seed."""
-    cert_p = solve_lyapunov(gains.A_L)
-    cert_s = solve_lyapunov(gains.A_K)
-    report = certify.build_report(gains.theta, sys_spec.tau, cert_p.spectral_norm,
-                                  cert_s.spectral_norm, sys_spec.lipschitz_k)
-
+def _render_certification(sys_spec: SystemSpec, result: certify.Certification, out_path: str):
+    report, cert_p, cert_s = result.report, result.cert_p, result.cert_s
     print("certification")
-    print(f"  theta = {gains.theta:g}  tau = {sys_spec.tau:g}  k = {sys_spec.lipschitz_k:g}")
+    print(f"  theta = {report.theta:g}  tau = {report.tau:g}  k = {report.k:g}")
     print(f"  ||P|| = {cert_p.spectral_norm:.6f}  (observer solve residual {cert_p.residual:.2e})")
     print(f"  ||S|| = {cert_s.spectral_norm:.6f}  (feedback solve residual {cert_s.residual:.2e})")
     box_text = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in sys_spec.domain_box)
-    print(f"  advisory Lipschitz lower bound over {box_text}: {advisory:.4f}")
+    print(f"  advisory Lipschitz lower bound over {box_text}: {result.advisory:.4f}")
     print("    (region-dependent; the margins below use the declared k)")
-    payload = report.to_dict()
+    payload = result.to_dict()
     for name, value in payload["margins"].items():
         print(f"  margin {name:>15} = {value: .6f}  {'PASS' if payload['pass'][name] else 'FAIL'}")
-
-    payload["lyapunov"] = {
-        "P": cert_p.solution.tolist(), "P_residual": cert_p.residual,
-        "S": cert_s.solution.tolist(), "S_residual": cert_s.residual,
-    }
-    if report.pass_a and report.pass_c:
-        alpha, threshold = certify.select_alpha_observer_based(
-            gains.theta, report.a, report.c, cert_s.spectral_norm,
-            float(np.linalg.norm(gains.K)), _ALPHA_MARGIN)
-        payload["alpha_observer_based"] = {"alpha": alpha, "threshold": threshold}
+    if result.alpha_observer_based is not None:
+        alpha, threshold = result.alpha_observer_based
         print(f"  composite weight (observer-based): alpha = {alpha:.6g} > threshold {threshold:.6g}")
-    if report.pass_c and report.pass_d:
-        if sys_spec.lipschitz_k == 0.0:
-            print("  composite weight (output feedback): unconstrained (k = 0)")
-            payload["alpha_output_feedback"] = None
-        else:
-            alpha_of = certify.select_alpha_output_feedback(
-                report.c, report.d, sys_spec.lipschitz_k, cert_p.spectral_norm, _ALPHA_MARGIN)
-            payload["alpha_output_feedback"] = alpha_of
-            print(f"  composite weight (output feedback): alpha = {alpha_of:.6g}")
+    if result.alpha_output_feedback is not None:
+        alpha_of = result.alpha_output_feedback
+        print("  composite weight (output feedback): " + (
+            f"unconstrained (k = {report.k:g})" if math.isinf(alpha_of) else f"alpha = {alpha_of:.6g}"))
     print(f"  overall: {'PASS' if report.all_pass else 'FAIL'}")
-    _write_certificate(out_path, payload)
+    try:
+        with open(out_path, "w", newline="\n") as handle:
+            json.dump(payload, handle, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        raise OutputIOError(f"cannot write certificate {out_path}: {exc}") from exc
     print(f"  certificate written to {out_path}")
-    return report, cert_p, cert_s
 
 
 def cmd_certify(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     out_dir = _ensure_out_dir(cfg.out_dir)
-    sys_spec, gains = build_system(cfg), build_gains(cfg)
+    sys_spec = build_system(cfg)
     advisory = estimate_lipschitz(sys_spec.f, sys_spec.domain_box, seed=cfg.seed)
-    report, _, _ = _certification(sys_spec, gains, advisory,
-                                  os.path.join(out_dir, "certificate.json"))
-    return 0 if report.all_pass else 1
+    result = certify.certify_gains(build_gains(cfg), sys_spec.tau, sys_spec.lipschitz_k, advisory)
+    _render_certification(sys_spec, result, os.path.join(out_dir, "certificate.json"))
+    return 0 if result.report.all_pass else 1
 
 
 def cmd_synthesize(args) -> int:
@@ -345,22 +319,14 @@ def _simulate(cfg: RunConfig, sys_spec: SystemSpec, gains: GainSet, out_dir: str
     print(f"  ||x(0)|| = {norms[i0]:.6f}   ||x(T)|| = {norms[-1]:.6e}")
     if err is not None:
         print(f"  ||xhat(0)-x(0)|| = {err[i0]:.6f}   ||xhat(T)-x(T)|| = {err[-1]:.6e}")
-    _print_fit(traj, norms)
-    print("artifacts: " + " ".join(artifacts))
-
-
-def _print_fit(traj, norms):
-    live = traj.t >= traj.tau  # skip the startup delay interval
-    y = norms[live]
-    t = traj.t[live]
-    keep = y > 0.0
-    if np.count_nonzero(keep) < 10:
+    fit, _ = analyze.fit_tail(traj.t, norms, traj.tau)  # skip the startup delay interval
+    if fit is None:
         print("  decay fit: skipped (fewer than 10 positive samples)")
-        return
-    fit = analyze.fit_envelope(t[keep], y[keep])
-    print(f"  decay fit on ||x|| (t >= tau): exponential rate {fit.exp_rate:.4g} "
-          f"(r2 = {fit.exp_r2:.4f}) | rational exponent {fit.rational_exponent:.4g} "
-          f"(r2 = {fit.rational_r2:.4f}) -> {fit.preferred}")
+    else:
+        print(f"  decay fit on ||x|| (t >= tau): exponential rate {fit.exp_rate:.4g} "
+              f"(r2 = {fit.exp_r2:.4f}) | rational exponent {fit.rational_exponent:.4g} "
+              f"(r2 = {fit.rational_r2:.4f}) -> {fit.preferred}")
+    print("artifacts: " + " ".join(artifacts))
 
 
 def cmd_simulate(args) -> int:
@@ -382,11 +348,10 @@ def cmd_fit(args) -> int:
             raise ConfigError(f"column {column!r} not in CSV (has: {', '.join(names)})")
     t = rows[:, names.index("t")]
     y = rows[:, names.index(args.column)]
-    keep = (t >= args.skip) & (y > 0.0)
-    if np.count_nonzero(keep) < 10:
+    fit, count = analyze.fit_tail(t, y, args.skip)
+    if fit is None:
         raise ConfigError("fewer than 10 positive samples after trimming")
-    fit = analyze.fit_envelope(t[keep], y[keep])
-    print(f"fit of {args.column} ({np.count_nonzero(keep)} samples, t >= {args.skip:g}):")
+    print(f"fit of {args.column} ({count} samples, t >= {args.skip:g}):")
     print(f"  exponential: rate = {fit.exp_rate:.6g}  r2 = {fit.exp_r2:.6f}")
     print(f"  rational:    exponent = {fit.rational_exponent:.6g}  r2 = {fit.rational_r2:.6f}")
     print(f"  preferred model: {fit.preferred}")
@@ -409,35 +374,31 @@ _REFERENCE_NORM_P = 1.0682
 _REFERENCE_NORM_S = 1.0169
 
 
-def reference_config() -> RunConfig:
-    return parse_config(json.loads(json.dumps(_REFERENCE_CONFIG)))
-
-
 def cmd_repro_paper(args) -> int:
-    cfg = reference_config()
+    cfg = parse_config(_REFERENCE_CONFIG)
     _apply_overrides(cfg, args)
     out_dir = _ensure_out_dir(cfg.out_dir)
     sys_spec, gains = build_system(cfg), build_gains(cfg)
     advisory = estimate_lipschitz(sys_spec.f, sys_spec.domain_box, seed=cfg.seed)
+    result = certify.certify_gains(gains, sys_spec.tau, sys_spec.lipschitz_k, advisory)
 
     print("reference reproduction (built-in benchmark)")
     print(f"  gains: L = {cfg.L}  K = {cfg.K}  theta = {cfg.theta:g}  tau = {cfg.tau:g}")
-    _, cert_p, cert_s = _certification(sys_spec, gains, advisory,
-                                       os.path.join(out_dir, "repro_certificate.json"))
+    _render_certification(sys_spec, result, os.path.join(out_dir, "repro_certificate.json"))
 
     def residual(A, X):  # of A'X + XA + I; residual(A.T, X) is the transposed convention
         return float(np.linalg.norm(A.T @ X + X @ A + np.eye(2)))
 
     print("  comparison against the published reference values:")
-    print(f"    computed P = {_matrix_text(cert_p.solution)}")
+    print(f"    computed P = {_matrix_text(result.cert_p.solution)}")
     print(f"    reference P = {_matrix_text(_REFERENCE_P)}")
-    print(f"    computed S = {_matrix_text(cert_s.solution)}")
+    print(f"    computed S = {_matrix_text(result.cert_s.solution)}")
     print(f"    reference S = {_matrix_text(_REFERENCE_S)}")
-    ns_match = abs(cert_s.spectral_norm - _REFERENCE_NORM_S) <= 1e-3
-    print(f"    ||S|| computed {cert_s.spectral_norm:.6f} vs reference {_REFERENCE_NORM_S} "
+    ns_match = abs(result.cert_s.spectral_norm - _REFERENCE_NORM_S) <= 1e-3
+    print(f"    ||S|| computed {result.cert_s.spectral_norm:.6f} vs reference {_REFERENCE_NORM_S} "
           f"-> {'agree' if ns_match else 'DISAGREE'}")
-    np_match = abs(cert_p.spectral_norm - _REFERENCE_NORM_P) <= 1e-3
-    print(f"    ||P|| computed {cert_p.spectral_norm:.6f} vs reference {_REFERENCE_NORM_P} "
+    np_match = abs(result.cert_p.spectral_norm - _REFERENCE_NORM_P) <= 1e-3
+    print(f"    ||P|| computed {result.cert_p.spectral_norm:.6f} vs reference {_REFERENCE_NORM_P} "
           f"-> {'agree' if np_match else 'DISCREPANCY (documented, see below)'}")
     print("  discrepancy detail:")
     print(f"    reference S residual in the equation as written  A'S + SA + I: "

@@ -188,8 +188,9 @@ def scale_gains(L, K, theta: float):
     if L.ndim != 1 or K.ndim != 1 or L.shape != K.shape:
         raise ConfigError("L and K must be one-dimensional vectors of equal length")
     n = L.shape[0]
-    powers_up = theta ** np.arange(1, n + 1, dtype=float)
-    return L * powers_up, K * powers_up[::-1]
+    with np.errstate(all="ignore"):  # a huge theta gives inf or nan entries, not a warning
+        powers_up = theta ** np.arange(1, n + 1, dtype=float)
+        return L * powers_up, K * powers_up[::-1]
 
 
 @dataclass(frozen=True)
@@ -207,10 +208,7 @@ class GainSet:
     def __post_init__(self):
         object.__setattr__(self, "L", np.asarray(self.L, dtype=float))
         object.__setattr__(self, "K", np.asarray(self.K, dtype=float))
-        if not (self.theta > 0.0) or not math.isfinite(self.theta):
-            raise ConfigError(f"theta must be positive and finite, got {self.theta!r}")
-        if self.L.ndim != 1 or self.K.ndim != 1 or self.L.shape != self.K.shape:
-            raise ConfigError("L and K must be one-dimensional vectors of equal length")
+        scale_gains(self.L, self.K, self.theta)  # validates theta and the shapes
         n = self.L.shape[0]
         if n < 1 or n > MAX_DIM:
             raise ConfigError(f"gain length {n} outside 1..{MAX_DIM}")
@@ -314,8 +312,8 @@ def estimate_lipschitz(f: Nonlinearity, box: Sequence, samples: int = 2000, seed
     def top_quotient(p: np.ndarray, q: np.ndarray, fp: np.ndarray, fq: np.ndarray) -> float:
         # largest |f(p) - f(q)| / |p - q| over the rows; p = q is 0, nan (f not finite) is inf
         with np.errstate(all="ignore"):
-            gap = np.linalg.norm(p - q, axis=1)
-            ratio = np.linalg.norm(fp - fq, axis=1) / np.where(gap == 0.0, np.inf, gap)
+            gap = np.hypot.reduce(p - q, axis=1)
+            ratio = np.hypot.reduce(fp - fq, axis=1) / np.where(gap == 0.0, np.inf, gap)
         return float(np.max(np.where(np.isnan(ratio), np.inf, ratio)))
 
     def fd_partner(p: np.ndarray, axis) -> np.ndarray:

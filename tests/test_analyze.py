@@ -263,3 +263,21 @@ def test_plot_empty_series_rejected(tmp_path):
         analyze.emit_plot([], tmp_path / "no.svg")
     with pytest.raises(ContractViolation):
         analyze.emit_plot([("a", np.array([]), np.array([]))], tmp_path / "no.svg")
+
+
+def test_fit_tail_keeps_late_positive_samples():
+    t = np.arange(0.0, 5.0, 0.1)
+    y = np.exp(-t)
+    y[30:35] = 0.0
+    fit, count = analyze.fit_tail(t, y, 1.0)
+    keep = (t >= 1.0) & (y > 0.0)
+    assert count == np.count_nonzero(keep) == 35
+    assert fit == rs.fit_envelope(t[keep], y[keep])
+
+
+def test_fit_tail_needs_ten_samples():
+    t = np.arange(0.0, 2.0, 0.1)
+    fit, count = analyze.fit_tail(t, np.exp(-t), 1.05)
+    assert (fit, count) == (None, 9)
+    fit, count = analyze.fit_tail(t, np.exp(-t), 1.0)
+    assert fit is not None and count == 10

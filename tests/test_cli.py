@@ -1,9 +1,11 @@
 import json
+import math
 import sys
 
 import numpy as np
 import pytest
 
+import ratstab as rs
 from ratstab import analyze, cli
 
 
@@ -422,3 +424,25 @@ def test_grid_beyond_memory_is_an_input_error(tmp_path, capsys):
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli.main(["simulate", "--config", path, "--horizon", "1e13"]) == 2
     assert capsys.readouterr().err == "error: a grid of 1e+15 nodes does not fit in memory\n"
+
+
+@pytest.mark.parametrize("tweaks, code", [
+    ({}, 0),
+    ({"gains.theta": 1.5}, 1),
+    ({"system.f": "zero", "system.lipschitz_k": 0.0}, 0),
+], ids=["pass", "failing_margin", "k_zero"])
+def test_certificate_file_is_the_library_result(tmp_path, tweaks, code):
+    path = write_config(tmp_path, base_config(tmp_path / "out", **tweaks))
+    assert cli.main(["certify", "--config", path]) == code
+    written = json.loads((tmp_path / "out" / "certificate.json").read_text())
+
+    cfg = cli.load_config(path)
+    sys_spec = cli.build_system(cfg)
+    advisory = rs.estimate_lipschitz(sys_spec.f, sys_spec.domain_box, seed=cfg.seed)
+    result = rs.certify_gains(cli.build_gains(cfg), sys_spec.tau, sys_spec.lipschitz_k, advisory)
+    assert result.to_dict() == written
+    if code == 1:
+        assert "alpha_observer_based" not in written and "alpha_output_feedback" not in written
+    if sys_spec.lipschitz_k == 0.0:
+        assert result.alpha_output_feedback == math.inf
+        assert written["alpha_output_feedback"] is None

@@ -269,3 +269,13 @@ def test_paper_example_registry_equals_its_expression():
         x = np.array([x1, values[i % len(values)]])
         xd = np.array([xd1, values[(i // 3) % len(values)]])
         assert np.array_equal(registry(x, xd, u), expression(x, xd, u), equal_nan=True), (x, xd, u)
+
+
+@pytest.mark.parametrize("exprs, box, expected", [
+    (["x1", "0"], [(-1e200, 1e200), (-1, 1)], 1.0),  # squared norms would overflow here
+    (["x1*x1", "0"], [(-8e307, 8e307), (-1, 1)], math.inf),
+    (["sqrt(x1)*x1", "0"], [(-1, 1)] * 2, math.inf),
+])
+def test_lipschitz_norms_do_not_overflow(exprs, box, expected):
+    f = rs.make_nonlinearity(exprs, 2)
+    assert rs.estimate_lipschitz(f, box) == expected
