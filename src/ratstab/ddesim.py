@@ -214,28 +214,30 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
 
         # step i sets the slope of node m + i, so at its start the slopes of
         # segments i .. i + m - 2 are all known: their delayed midpoints are
-        # computed together, one block of m - 1 rows per m - 1 steps
+        # computed together, one block of m - 1 rows per m - 1 steps. The loop
+        # writes the buffer's arrays itself; only the midpoints read its count.
+        states, derivs = buffer._states, buffer._derivs
         block = m - 1
         half = 0.5 * h
         sixth = h / 6.0
         for i in range(steps):
+            node = m + i
             if i % block == 0:
+                buffer._filled = node + 1
                 delayed_mids = buffer.midpoints(i, min(i + block, steps))
             t = i * h
-            node = m + i
-            x = buffer.node(node)
-            k1 = np.asarray(rhs(t, x, buffer.node(i)), dtype=float)
-            buffer.set_derivative(node, k1)
+            x = states[node]
+            k1 = derivs[node] = np.asarray(rhs(t, x, states[i]), dtype=float)
             x_mid_delayed = delayed_mids[i % block]
             k2 = np.asarray(rhs(t + half, x + half * k1, x_mid_delayed), dtype=float)
             k3 = np.asarray(rhs(t + half, x + half * k2, x_mid_delayed), dtype=float)
-            k4 = np.asarray(rhs(t + h, x + h * k3, buffer.node(i + 1)), dtype=float)
-            advanced = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k4 = np.asarray(rhs(t + h, x + h * k3, states[i + 1]), dtype=float)
+            advanced = states[node + 1] = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             # nan or inf fails the comparison, so one reduction covers both checks
             if not math.sqrt(advanced.dot(advanced)) <= DIVERGENCE_GUARD:
                 raise DivergedError((i + 1) * h)
-            buffer.append(advanced)
         final = m + steps
+        buffer._filled = final + 1
         buffer.set_derivative(final, np.asarray(rhs(steps * h, buffer.node(final), buffer.node(steps)), dtype=float))
 
     t = np.arange(-m, steps + 1, dtype=float) * h
@@ -302,23 +304,24 @@ def _closed_loop(scenario: Scenario, gains: GainSet):
     """Closed-loop table (M, b, k, f_blocks) of a scenario, as in the module
     docstring; b is None for every scenario but the plain observer."""
     n = gains.n
-    A, B, C = build_companion(n)
-    BK = np.outer(B, gains.K_scaled)
-    LC = np.outer(gains.L_scaled, C)
-    plant, observer = slice(0, n), slice(n, 2 * n)
-    if scenario is Scenario.OPEN_LOOP:
-        return A, None, np.zeros(n), (plant,)
-    if scenario is Scenario.STATE_FEEDBACK:
-        return A + BK, None, gains.K_scaled, (plant,)
-    if scenario is Scenario.OBSERVER:
-        M = np.block([[A, np.zeros((n, n))], [-LC, A + LC]])
-        return M, np.concatenate([B, B]), np.zeros(2 * n), (plant, observer)
-    M = np.block([[A, BK], [-LC, A + BK + LC]])
-    k = np.concatenate([np.zeros(n), gains.K_scaled])
-    if scenario is Scenario.OBSERVER_BASED:
-        return M, None, k, (plant, observer)
-    if scenario is Scenario.OUTPUT_FEEDBACK:
-        return M, None, k, (plant,)  # nonlinearity-free observer
+    with np.errstate(all="ignore"):  # overflowing gains are for the divergence guard to report
+        A, B, C = build_companion(n)
+        BK = np.outer(B, gains.K_scaled)
+        LC = np.outer(gains.L_scaled, C)
+        plant, observer = slice(0, n), slice(n, 2 * n)
+        if scenario is Scenario.OPEN_LOOP:
+            return A, None, np.zeros(n), (plant,)
+        if scenario is Scenario.STATE_FEEDBACK:
+            return A + BK, None, gains.K_scaled, (plant,)
+        if scenario is Scenario.OBSERVER:
+            M = np.block([[A, np.zeros((n, n))], [-LC, A + LC]])
+            return M, np.concatenate([B, B]), np.zeros(2 * n), (plant, observer)
+        M = np.block([[A, BK], [-LC, A + BK + LC]])
+        k = np.concatenate([np.zeros(n), gains.K_scaled])
+        if scenario is Scenario.OBSERVER_BASED:
+            return M, None, k, (plant, observer)
+        if scenario is Scenario.OUTPUT_FEEDBACK:
+            return M, None, k, (plant,)  # nonlinearity-free observer
     raise ConfigError(f"unknown scenario {scenario!r}")
 
 
@@ -348,6 +351,8 @@ def run_scenario(sys: SystemSpec, gains: GainSet, scenario: Scenario, phi, phi_h
     else:
         stacked_phi = plant_phi
 
+    count = len(f_blocks)  # f acts on a prefix of z: the plant, or the plant and the observer
+
     def rhs(t, z, zd):
         u = float(k.dot(z))
         dz = M.dot(z)
@@ -355,8 +360,7 @@ def run_scenario(sys: SystemSpec, gains: GainSet, scenario: Scenario, phi, phi_h
             v = float(external(t))
             u += v
             dz += b * v
-        for block in f_blocks:
-            dz[block] += f(z[block], zd[block], u)
+        dz[:count * n] += f.blocks(z, zd, u, count)
         return dz
 
     t, states = integrate(rhs, stacked_phi, sys.tau, h, horizon)

@@ -32,10 +32,14 @@ class Nonlinearity:
     """Triangular vector nonlinearity f(x, x_delayed, u) -> R^n.
 
     Built either from a plain Python callable (registry entries) or from a
-    list of expression ASTs, one per component, compiled once here.
-    Construction validates the triangular dependency structure and that
-    the origin is an equilibrium for a grid of input values. Call it on
-    one point; :meth:`rows` evaluates many points in one call.
+    list of expression ASTs, one per component, compiled once here. Either
+    way f has one scalar core, :attr:`point`: ``point(xs, xds, u)`` takes
+    two lists of n Python floats and a float and returns n floats. A
+    callable ``fn`` is that core itself, so it must follow this contract.
+    Construction validates the triangular dependency structure, that f
+    returns n values, and that the origin is an equilibrium for a grid of
+    input values. Call it on one point; :meth:`rows` evaluates many points,
+    and :meth:`blocks` the n-blocks of one stacked state.
     """
 
     def __init__(self, n: int, components=None, fn: Callable | None = None, name: str = ""):
@@ -44,30 +48,47 @@ class Nonlinearity:
         self.n = int(n)
         self.name = name
         self.components = list(components) if components is not None else None
-        self._fn = fn
         if self.components is not None:
             if len(self.components) != self.n:
                 raise ConfigError(
                     f"expected {self.n} component expressions, got {len(self.components)}"
                 )
-            self._var_names = [f"x{i + 1}" for i in range(self.n)] + [
+            self._var_names = var_names = [f"x{i + 1}" for i in range(self.n)] + [
                 f"xd{i + 1}" for i in range(self.n)
             ]
             self._check_triangular_structure()
-            self._scalar = [exprlang.compile_expr(c) for c in self.components]
+            scalar = [exprlang.compile_expr(c) for c in self.components]
             self._columns = [exprlang.compile_expr(c, columns=True) for c in self.components]
+
+            def point(xs, xds, u):
+                env = dict(zip(var_names, xs + xds))
+                env["u"] = u
+                return [c(env) for c in scalar]
+
+            self.point = point
         else:
-            self._probe_triangularity()
+            self.point = fn
         self._check_zero_at_origin()
+        if fn is not None:
+            self._probe_triangularity()
 
     def __call__(self, x, xd, u: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        xd = np.asarray(xd, dtype=float)
-        if self._fn is not None:
-            return np.asarray(self._fn(x, xd, float(u)), dtype=float)
-        env = dict(zip(self._var_names, x.tolist() + xd.tolist()))
-        env["u"] = float(u)
-        return np.array([c(env) for c in self._scalar])
+        xs = np.asarray(x, dtype=float).tolist()
+        xds = np.asarray(xd, dtype=float).tolist()
+        return np.array(self.point(xs, xds, float(u)), dtype=float)
+
+    def blocks(self, z: np.ndarray, zd: np.ndarray, u: float, count: int) -> list[float]:
+        """f on each of the first ``count`` n-blocks of the 1-D arrays z and zd, at input u.
+
+        Returns the ``count * n`` values as one list; block b of it holds
+        exactly ``self(z[b*n:(b+1)*n], zd[b*n:(b+1)*n], u)``.
+        """
+        n = self.n
+        zs, zds = z.tolist(), zd.tolist()
+        out = []
+        for lo in range(0, count * n, n):
+            out += self.point(zs[lo:lo + n], zds[lo:lo + n], u)
+        return out
 
     def rows(self, X, XD, U) -> np.ndarray:
         """f on each row: X and XD of shape (B, n) and U of shape (B,) give (B, n).
@@ -78,9 +99,9 @@ class Nonlinearity:
         X = np.asarray(X, dtype=float)
         XD = np.asarray(XD, dtype=float)
         U = np.asarray(U, dtype=float)
-        if self._fn is not None:
-            return np.array([self._fn(x, xd, u) for x, xd, u in zip(X, XD, U.tolist())],
-                            dtype=float).reshape(len(U), self.n)
+        if self.components is None:
+            values = [self.point(x, xd, u) for x, xd, u in zip(X.tolist(), XD.tolist(), U.tolist())]
+            return np.array(values, dtype=float).reshape(len(U), self.n)
         env = dict(zip(self._var_names, np.concatenate([X.T, XD.T])))
         env["u"] = U
         out = np.empty((len(U), self.n))
@@ -130,26 +151,27 @@ class Nonlinearity:
                         )
 
     def _check_zero_at_origin(self):
-        zeros = np.zeros(self.n)
+        zeros = [0.0] * self.n
         for u in U_ZERO_GRID:
-            val = self(zeros, zeros, u)
+            val = np.asarray(self.point(zeros, zeros, u), dtype=float)
+            if val.shape != (self.n,):
+                raise ConfigError(f"f must return {self.n} values, got shape {val.shape} at x = xd = 0")
             if not np.all(np.isfinite(val)) or np.linalg.norm(val) > _ZERO_TOL:
                 raise ConfigError(f"f(0, 0, u) must vanish; got {val} at u={u}")
 
 
 def _zero_factory(n: int) -> Nonlinearity:
-    return Nonlinearity(n, fn=lambda x, xd, u: np.zeros(len(x)), name="zero")
+    return Nonlinearity(n, fn=lambda x, xd, u: [0.0] * len(x), name="zero")
 
 
 def _paper_example_factory(n: int) -> Nonlinearity:
     # first component x1*cos(x1) + xd1*cos(u), all others zero
     cos = exprlang.FUNCTIONS["cos"]  # nan at +-inf, as in the expression form
+    rest = [0.0] * (n - 1)
 
     def fn(x, xd, u):
-        out = np.zeros(len(x))
-        x1, xd1 = float(x[0]), float(xd[0])
-        out[0] = x1 * cos(x1) + xd1 * cos(u)
-        return out
+        x1, xd1 = x[0], xd[0]
+        return [x1 * cos(x1) + xd1 * cos(u)] + rest
 
     return Nonlinearity(n, fn=fn, name="paper_example")
 

@@ -446,3 +446,15 @@ def test_certificate_file_is_the_library_result(tmp_path, tweaks, code):
     if sys_spec.lipschitz_k == 0.0:
         assert result.alpha_output_feedback == math.inf
         assert written["alpha_output_feedback"] is None
+
+
+@pytest.mark.parametrize("mode", ["observer_based", "state_feedback", "observer", "output_feedback"])
+def test_overflowing_gains_are_reported_as_divergence(tmp_path, capsys, mode):
+    # (l+1)^4 gains at theta = 1e100 scale to inf, so the closed-loop table holds
+    # 0 * inf; numpy must not warn before the divergence guard reports
+    tweaks = {"system.n": 4, "system.f": "zero", "system.domain_box": [[-30.0, 30.0]] * 4,
+              "gains.L": [-4.0, -6.0, -4.0, -1.0], "gains.K": [-1.0, -4.0, -6.0, -4.0],
+              "sim.x0": [1.0, 0.0, 0.0, 0.0], "sim.xhat0": [0.0] * 4, "scenario.mode": mode}
+    path = write_config(tmp_path, base_config(tmp_path / "out", **tweaks))
+    assert cli.main(["simulate", "--config", path, "--theta", "1e100"]) == 1
+    assert capsys.readouterr().err == "error: simulation diverged at t = 0.01\n"

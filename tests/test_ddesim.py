@@ -308,6 +308,48 @@ def test_integrate_matches_stepwise_loop_on_benchmark(bench_system, bench_gains)
     assert np.array_equal(np.hstack([traj.x, traj.xhat]), reference)
 
 
+def _opaque_f3(x, xd, u):
+    return [0.5 * math.sin(x[0]) + 0.2 * xd[0] * math.cos(u), math.tanh(x[1] * xd[0]) - 0.1 * xd[1],
+            0.3 * math.sin(xd[2]) * math.tanh(x[0]) + 0.1 * x[2] * xd[1]]
+
+
+F3_KINDS = {
+    "registry": lambda: rs.make_nonlinearity("paper_example", 3),
+    "expression": lambda: rs.make_nonlinearity(
+        ["0.5*sin(x1) + 0.2*xd1*cos(u)", "tanh(x2*xd1) - 0.1*xd2", "0.3*sin(xd3)*tanh(x1) + 0.1*x3*xd2"], 3),
+    "opaque": lambda: rs.Nonlinearity(3, fn=_opaque_f3, name="opaque"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(F3_KINDS))
+@pytest.mark.parametrize("scenario, u_ext", [pytest.param(s, None, id=s.value) for s in rs.Scenario] + [
+    pytest.param(rs.Scenario.OBSERVER, lambda t: math.sin(3.0 * t), id="observer-u_ext")])
+def test_run_scenario_matches_stepwise_loop(kind, scenario, u_ext):
+    # reference: per-block M @ z and one f call per block, integrated step by step
+    f = F3_KINDS[kind]()
+    gains = rs.GainSet(L=[-3.0, -3.0, -1.0], K=[-1.0, -3.0, -3.0], theta=2.0)
+    M, b, k, f_blocks = _closed_loop(scenario, gains)
+
+    def rhs(t, z, zd):
+        u = float(k @ z)
+        dz = M @ z
+        if b is not None and u_ext is not None:
+            v = float(u_ext(t))
+            u += v
+            dz += b * v
+        for block in f_blocks:
+            dz[block] += f(z[block], zd[block], u)
+        return dz
+
+    x0, xhat0 = np.array([0.8, -0.5, 0.3]), np.array([-0.4, 0.6, 0.1])
+    phi = np.concatenate([x0, xhat0]) if scenario.has_observer else x0
+    reference = _stepwise_integrate(rhs, phi, 0.1, 0.01, 1.0)
+    traj = rs.run_scenario(rs.SystemSpec(n=3, tau=0.1, f=f, lipschitz_k=1.0), gains, scenario,
+                           x0, xhat0, h=0.01, horizon=1.0, u_ext=u_ext)
+    states = np.hstack([traj.x, traj.xhat]) if scenario.has_observer else traj.x
+    assert np.array_equal(states, reference)
+
+
 @pytest.mark.parametrize("tau, h", [(1.0, 0.05), (0.02, 0.01)], ids=["m=20", "m=2"])
 def test_integrate_matches_stepwise_loop_with_callable_history(tau, h):
     # phi'(0) = 2 differs from the right-hand side at t = 0, so the first
