@@ -111,10 +111,10 @@ def bound_check(traj: Trajectory, params: StabilityParams, tol: float) -> bool:
     """True iff |x(t)| stays under the rational envelope (with headroom tol).
 
     The envelope is seeded with the sup of |x| over the stored history
-    segment and checked at every node with t >= 0.
+    segment, node t = 0 included, and checked at every node with t > 0.
     """
     norms = traj.norm_x()
-    history = traj.t <= 1e-12
+    history = traj.t <= 0.0
     norm_phi = float(np.max(norms[history]))
     for time, value in zip(traj.t[~history], norms[~history]):
         if value > rational_bound(params, norm_phi, float(time)) * (1.0 + tol):
@@ -122,27 +122,25 @@ def bound_check(traj: Trajectory, params: StabilityParams, tol: float) -> bool:
     return True
 
 
+def _csv_columns(traj: Trajectory) -> list[tuple[str, np.ndarray]]:
+    """(name, values) of every CSV column, in file order."""
+    columns = [("t", traj.t)] + [(f"x{i + 1}", traj.x[:, i]) for i in range(traj.n)]
+    if traj.xhat is not None:
+        columns += [(f"xh{i + 1}", traj.xhat[:, i]) for i in range(traj.n)]
+    columns += [("u", traj.u), ("norm_x", traj.norm_x())]
+    if traj.xhat is not None:
+        columns.append(("norm_err", traj.norm_err()))
+    return columns
+
+
 def csv_header(traj: Trajectory) -> list[str]:
-    names = ["t"] + [f"x{i + 1}" for i in range(traj.n)]
-    if traj.xhat is not None:
-        names += [f"xh{i + 1}" for i in range(traj.n)]
-    names.append("u")
-    names.append("norm_x")
-    if traj.xhat is not None:
-        names.append("norm_err")
-    return names
+    return [name for name, _ in _csv_columns(traj)]
 
 
 def emit_csv(traj: Trajectory, path) -> None:
     """Write the trajectory as CSV: 17 significant digits, LF newlines."""
-    columns = [traj.t] + [traj.x[:, i] for i in range(traj.n)]
-    if traj.xhat is not None:
-        columns += [traj.xhat[:, i] for i in range(traj.n)]
-    columns.append(traj.u)
-    columns.append(traj.norm_x())
-    if traj.xhat is not None:
-        columns.append(traj.norm_err())
-    header = ",".join(csv_header(traj))
+    names, columns = zip(*_csv_columns(traj))
+    header = ",".join(names)
     row_format = ",".join([f"%.{CSV_DIGITS}g"] * len(columns)) + "\n"
     try:
         with open(path, "w", newline="\n") as handle:

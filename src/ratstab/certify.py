@@ -223,6 +223,8 @@ class Certification:
 
 def certify_gains(gains, tau: float, k: float, advisory: float) -> Certification:
     """Solve both Lyapunov equations of a GainSet and evaluate the certificate."""
+    if gains.theta < 1.0:  # the certified decay rate ln(theta) / (2 tau) would be negative
+        raise ConfigError(f"theta must be at least 1 to certify decay, got {gains.theta!r}")
     cert_p = matops.solve_lyapunov(gains.A_L)
     cert_s = matops.solve_lyapunov(gains.A_K)
     report = build_report(gains.theta, tau, cert_p.spectral_norm, cert_s.spectral_norm, k)

@@ -61,6 +61,8 @@ def _check_keys(section: str, data: dict, required: tuple, optional: tuple = ())
 
 
 def _finite(value, name: str) -> float:
+    if isinstance(value, bool):  # JSON true/false, which float() would read as 1.0/0.0
+        raise ConfigError(f"'{name}' must be a number, got {value!r}")
     try:
         out = float(value)
     except (TypeError, ValueError):
@@ -169,17 +171,15 @@ def _validated_history(value, n: int):
         return "constant"
     if isinstance(value, dict):
         _check_keys("sim.history", value, ("x",), ("xhat",))
-        parsed = {"x": _history_exprs(value["x"], n)}
-        if "xhat" in value:
-            parsed["xhat"] = _history_exprs(value["xhat"], n)
-        return parsed
+        return {key: _history_exprs(value[key], n) for key in ("x", "xhat") if key in value}
     raise ConfigError("'history' must be \"constant\" or {\"x\": [...], \"xhat\": [...]}")
 
 
-def _history_exprs(texts, n: int) -> list:
+def _history_exprs(texts, n: int):
+    """The history phi(s) given by n expression strings in t, parsed and compiled once."""
     if not isinstance(texts, list) or len(texts) != n or not all(isinstance(t, str) for t in texts):
         raise ConfigError(f"history needs {n} expression strings")
-    exprs = []
+    compiled = []
     for text in texts:
         e = exprlang.parse(text)
         extra = exprlang.free_vars(e) - {"t"}
@@ -187,8 +187,8 @@ def _history_exprs(texts, n: int) -> list:
             raise ConfigError(
                 f"history expression {text!r} may only reference 't', found {sorted(extra)[0]!r}"
             )
-        exprs.append(e)
-    return exprs
+        compiled.append(exprlang.compile_expr(e))
+    return lambda s: np.array([c({"t": float(s)}) for c in compiled])
 
 
 def build_system(cfg: RunConfig) -> SystemSpec:
@@ -201,27 +201,12 @@ def build_gains(cfg: RunConfig) -> GainSet:
     return GainSet(L=np.asarray(cfg.L), K=np.asarray(cfg.K), theta=cfg.theta)
 
 
-def _history_callable(exprs):
-    compiled = [exprlang.compile_expr(e) for e in exprs]
-
-    def phi(s: float) -> np.ndarray:
-        env = {"t": float(s)}
-        return np.array([c(env) for c in compiled])
-
-    return phi
-
-
 def build_histories(cfg: RunConfig):
     if cfg.x0 is None:
         raise ConfigError("section 'sim' with 'x0' is required for simulation")
-    exprs = {} if cfg.history == "constant" else cfg.history
-
-    def history(key, values):
-        if key in exprs:
-            return _history_callable(exprs[key])
-        return None if values is None else np.asarray(values, dtype=float)
-
-    return history("x", cfg.x0), history("xhat", cfg.xhat0)
+    phis = {} if cfg.history == "constant" else cfg.history
+    xhat0 = None if cfg.xhat0 is None else np.asarray(cfg.xhat0, dtype=float)
+    return phis.get("x", np.asarray(cfg.x0, dtype=float)), phis.get("xhat", xhat0)
 
 
 def _ensure_out_dir(out_dir: str) -> str:

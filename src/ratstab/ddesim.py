@@ -5,11 +5,12 @@ delay must be an integer multiple (>= 2) of the step so that every
 breakpoint lands on a grid node; delayed stage values at half steps come
 from cubic Hermite interpolation using stored node states and node
 derivatives, which keeps the scheme fourth order between breakpoints.
-Whole-step delayed lookups are node reads and therefore exact. Since the
-delay spans m >= 2 steps, each step sets the slope that the midpoint m - 1
-segments ahead needs, so the integrator computes the delayed midpoints of
-m - 1 consecutive steps in one vectorized Hermite call; the numbers are
-the same as one call per step.
+Whole-step delayed lookups are node reads and therefore exact. The delayed
+midpoints of the m history segments come from one Hermite call before the
+first step. From step m on, since the delay spans m >= 2 steps, each step
+sets the slope that the midpoint m - 1 segments ahead needs, so one call
+gives the delayed midpoints of the next m - 1 steps. Each row depends only
+on its own segment, so the numbers are the same as one call per step.
 
 Every scenario is one table over the state z = x, or z = (x, xhat) with
 an observer: a matrix M, an input column b, a feedback row k and the
@@ -53,6 +54,16 @@ class Scenario(Enum):
     @property
     def has_observer(self) -> bool:
         return self in (Scenario.OBSERVER, Scenario.OBSERVER_BASED, Scenario.OUTPUT_FEEDBACK)
+
+
+def _cubic_hermite(left, left_slope, right, right_slope, h: float, lam: float):
+    """Cubic Hermite values at fraction lam of segments of width h, elementwise
+    over row-aligned node values and slopes at the segments' two ends."""
+    h00 = (1.0 + 2.0 * lam) * (1.0 - lam) ** 2
+    h10 = lam * (1.0 - lam) ** 2
+    h01 = lam * lam * (3.0 - 2.0 * lam)
+    h11 = lam * lam * (lam - 1.0)
+    return h00 * left + h * h10 * left_slope + h01 * right + h * h11 * right_slope
 
 
 class HistoryBuffer:
@@ -110,13 +121,8 @@ class HistoryBuffer:
         if start < self._break_index <= stop:
             right_slope = right_slope.copy()
             right_slope[self._break_index - start - 1] = self._break_left_slope
-        h = self.h
-        h00 = (1.0 + 2.0 * lam) * (1.0 - lam) ** 2
-        h10 = lam * (1.0 - lam) ** 2
-        h01 = lam * lam * (3.0 - 2.0 * lam)
-        h11 = lam * lam * (lam - 1.0)
-        return (h00 * self._states[start:stop] + h * h10 * left_slope
-                + h01 * self._states[start + 1:stop + 1] + h * h11 * right_slope)
+        return _cubic_hermite(self._states[start:stop], left_slope,
+                              self._states[start + 1:stop + 1], right_slope, self.h, lam)
 
     def midpoints(self, start: int, stop: int) -> np.ndarray:
         """Hermite midpoints of segments start..stop-1, one row per segment."""
@@ -136,16 +142,18 @@ class HistoryBuffer:
         return self._hermite(j, j + 1, position - j)[0]
 
 
-def _as_history_fn(phi, width: int) -> Callable[[float], np.ndarray]:
+def _as_history_fn(phi, width: int | None = None) -> tuple[Callable[[float], np.ndarray], int]:
+    """phi as a function of s returning float vectors, and their length. phi is
+    probed once, at s = 0; the probe must have `width` entries when one is given."""
+    probe = np.asarray(phi(0.0) if callable(phi) else phi, dtype=float)
+    width = probe.size if width is None else width
     if callable(phi):
-        probe = np.asarray(phi(0.0), dtype=float)
         if probe.shape != (width,):
             raise ConfigError(f"history function must return length-{width} vectors")
-        return lambda s: np.asarray(phi(s), dtype=float)
-    const = np.asarray(phi, dtype=float)
-    if const.shape != (width,):
-        raise ConfigError(f"constant history must have length {width}, got shape {const.shape}")
-    return lambda s: const
+        return (lambda s: np.asarray(phi(s), dtype=float)), width
+    if probe.shape != (width,):
+        raise ConfigError(f"constant history must have length {width}, got shape {probe.shape}")
+    return (lambda s: probe), width
 
 
 def _grid_layout(tau: float, h: float, horizon: float) -> tuple[int, int]:
@@ -177,22 +185,19 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
     node whose state is non-finite or larger than the guard.
     """
     m, steps = _grid_layout(tau, h, horizon)
-    probe = phi(0.0) if callable(phi) else np.asarray(phi, dtype=float)
-    width = np.asarray(probe, dtype=float).reshape(-1).shape[0]
-    history = _as_history_fn(phi, width)
+    history, width = _as_history_fn(phi)
 
     nodes = m + steps + 1
     try:
-        buffer = HistoryBuffer(t0=-tau, h=h, capacity=nodes, width=width, break_index=m)
+        states, derivs = np.empty((nodes, width)), np.empty((nodes, width))
     except ValueError as exc:  # numpy's dimension limit, not a memory shortage
         raise ConfigError(f"a grid of {nodes:.3g} nodes exceeds numpy's array size limit") from exc
     except MemoryError as exc:
         raise ConfigError(f"a grid of {nodes:.3g} nodes does not fit in memory") from exc
 
-    seed_values = np.empty((m + 1, width))
     for j in range(m + 1):
-        seed_values[j] = history(-tau + j * h)
-    if not np.all(np.isfinite(seed_values)):
+        states[j] = history(-tau + j * h)
+    if not np.all(np.isfinite(states[:m + 1])):
         raise ConfigError("initial history contains non-finite values")
 
     # numpy stays silent on overflow: only the divergence guard reports it
@@ -200,48 +205,41 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
         # slopes of the history callable; one-sided second-order stencils at the
         # ends, step capped by h so no evaluation leaves [-tau, 0]
         delta = min(_PHI_SLOPE_STEP_SCALE * max(1.0, tau), h)
-        seed_slopes = np.empty((m + 1, width))
         for j in range(m + 1):
             s = -tau + j * h
             if j == 0:
-                seed_slopes[j] = (-3.0 * history(s) + 4.0 * history(s + delta) - history(s + 2 * delta)) / (2 * delta)
+                derivs[j] = (-3.0 * history(s) + 4.0 * history(s + delta) - history(s + 2 * delta)) / (2 * delta)
             elif j == m:
-                seed_slopes[j] = (3.0 * history(s) - 4.0 * history(s - delta) + history(s - 2 * delta)) / (2 * delta)
+                derivs[j] = (3.0 * history(s) - 4.0 * history(s - delta) + history(s - 2 * delta)) / (2 * delta)
             else:
-                seed_slopes[j] = (history(s + delta) - history(s - delta)) / (2 * delta)
+                derivs[j] = (history(s + delta) - history(s - delta)) / (2 * delta)
 
-        buffer.seed(seed_values, seed_slopes)
-
-        # step i sets the slope of node m + i, so at its start the slopes of
-        # segments i .. i + m - 2 are all known: their delayed midpoints are
-        # computed together, one block of m - 1 rows per m - 1 steps. The loop
-        # writes the buffer's arrays itself; only the midpoints read its count.
-        states, derivs = buffer._states, buffer._derivs
-        block = m - 1
+        # one Hermite call gives the delayed midpoints of steps start..stop-1.
+        # The first block is the m history segments, taken while node m still
+        # holds the history's slope phi'(0), which step 0 then overwrites with
+        # the right-hand side's. From step m on, step i sets the slope of node
+        # m + i, so when a block starts the slopes of its m - 1 segments are known.
+        edges = [0, *range(m, steps, m - 1), steps]
         half = 0.5 * h
         sixth = h / 6.0
-        for i in range(steps):
-            node = m + i
-            if i % block == 0:
-                buffer._filled = node + 1
-                delayed_mids = buffer.midpoints(i, min(i + block, steps))
-            t = i * h
-            x = states[node]
-            k1 = derivs[node] = np.asarray(rhs(t, x, states[i]), dtype=float)
-            x_mid_delayed = delayed_mids[i % block]
-            k2 = np.asarray(rhs(t + half, x + half * k1, x_mid_delayed), dtype=float)
-            k3 = np.asarray(rhs(t + half, x + half * k2, x_mid_delayed), dtype=float)
-            k4 = np.asarray(rhs(t + h, x + h * k3, states[i + 1]), dtype=float)
-            advanced = states[node + 1] = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            # nan or inf fails the comparison, so one reduction covers both checks
-            if not math.sqrt(advanced.dot(advanced)) <= DIVERGENCE_GUARD:
-                raise DivergedError((i + 1) * h)
-        final = m + steps
-        buffer._filled = final + 1
-        buffer.set_derivative(final, np.asarray(rhs(steps * h, buffer.node(final), buffer.node(steps)), dtype=float))
+        for start, stop in zip(edges, edges[1:]):
+            mids = _cubic_hermite(states[start:stop], derivs[start:stop],
+                                  states[start + 1:stop + 1], derivs[start + 1:stop + 1], h, 0.5)
+            for i, x_mid_delayed in zip(range(start, stop), mids):
+                node = m + i
+                t = i * h
+                x = states[node]
+                k1 = derivs[node] = np.asarray(rhs(t, x, states[i]), dtype=float)
+                k2 = np.asarray(rhs(t + half, x + half * k1, x_mid_delayed), dtype=float)
+                k3 = np.asarray(rhs(t + half, x + half * k2, x_mid_delayed), dtype=float)
+                k4 = np.asarray(rhs(t + h, x + h * k3, states[i + 1]), dtype=float)
+                advanced = states[node + 1] = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                # nan or inf fails the comparison, so one reduction covers both checks
+                if not math.sqrt(advanced.dot(advanced)) <= DIVERGENCE_GUARD:
+                    raise DivergedError((i + 1) * h)
 
     t = np.arange(-m, steps + 1, dtype=float) * h
-    return t, buffer.states.copy()
+    return t, states
 
 
 @dataclass
@@ -342,11 +340,11 @@ def run_scenario(sys: SystemSpec, gains: GainSet, scenario: Scenario, phi, phi_h
     external = u_ext if b is not None else None
     f = sys.f
 
-    plant_phi = _as_history_fn(phi, n)
+    plant_phi, _ = _as_history_fn(phi, n)
     if scenario.has_observer:
         if phi_hat is None:
             raise ConfigError(f"scenario {scenario.value} needs an observer history")
-        observer_phi = _as_history_fn(phi_hat, n)
+        observer_phi, _ = _as_history_fn(phi_hat, n)
         stacked_phi = lambda s: np.concatenate([plant_phi(s), observer_phi(s)])
     else:
         stacked_phi = plant_phi
@@ -367,7 +365,7 @@ def run_scenario(sys: SystemSpec, gains: GainSet, scenario: Scenario, phi, phi_h
     x, xhat = states[:, :n], (states[:, n:] if scenario.has_observer else None)
 
     u = np.zeros(len(t))
-    live = t >= -1e-12
+    live = t >= 0.0
     u[live] = states[live] @ k
     if external is not None:
         u[live] += [float(external(ti)) for ti in t[live]]

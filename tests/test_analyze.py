@@ -119,6 +119,20 @@ def test_bound_check_certified_linear_instance(linear_system, bench_gains):
     assert rs.bound_check(traj, params, tol=0.05)
 
 
+def test_history_and_solution_split_at_t_zero_on_a_tiny_grid(linear_system, bench_gains):
+    # grid times are k h with node m at exactly 0.0; at h = 1e-13 every node lies
+    # within 1e-12 of zero, so a tolerance there would misplace all of them
+    spec = rs.SystemSpec(n=2, tau=2e-13, f=linear_system.f, lipschitz_k=0.0)
+    traj = rs.run_scenario(spec, bench_gains, rs.Scenario.STATE_FEEDBACK, np.array([1.0, 1.0]),
+                           h=1e-13, horizon=1e-12)
+    assert traj.t[2] == 0.0
+    assert np.array_equal(traj.u[:2], [0.0, 0.0])  # history rows carry no control
+    assert traj.u[2] == -2160.0
+    # an envelope a millionth of |x|: the nodes with t > 0 must be checked against it
+    params = rs.StabilityParams(lam1=1e12, lam2=1.0, lam3=1.0, r1=2.0, r2=2.0, k=1.0)
+    assert not rs.bound_check(traj, params, tol=0.05)
+
+
 def _small_trajectory(with_observer: bool) -> Trajectory:
     t = np.array([-0.2, -0.1, 0.0, 0.1])
     x = np.array([[1.0, 2.0], [1.5, 2.5], [-1.0 / 3.0, 0.125], [0.7, -0.2]])

@@ -370,3 +370,12 @@ def test_krasovskii_contract_errors():
         rs.FunctionalSpec(matrix=np.eye(2), theta=1.0, tau=1.0)  # ln(theta) = 0
     with pytest.raises(ContractViolation):
         rs.FunctionalSpec(matrix=np.array([[1.0, 0.0], [0.0, -1.0]]), theta=4.0, tau=1.0)
+
+
+def test_certify_gains_requires_theta_at_least_one():
+    # below 1 the certified rate ln(theta) / (2 tau) is negative, so no margin may pass
+    L, K = [-14.0, -28.0], [-30.0, -30.0]
+    with pytest.raises(ConfigError, match="theta must be at least 1 to certify decay, got 0.5"):
+        rs.certify_gains(rs.GainSet(L=L, K=K, theta=0.5), tau=1.0, k=0.0, advisory=0.0)
+    result = rs.certify_gains(rs.GainSet(L=L, K=K, theta=1.0), tau=1.0, k=0.0, advisory=0.0)
+    assert result.report.theta == 1.0

@@ -458,3 +458,34 @@ def test_overflowing_gains_are_reported_as_divergence(tmp_path, capsys, mode):
     path = write_config(tmp_path, base_config(tmp_path / "out", **tweaks))
     assert cli.main(["simulate", "--config", path, "--theta", "1e100"]) == 1
     assert capsys.readouterr().err == "error: simulation diverged at t = 0.01\n"
+
+
+@pytest.mark.parametrize("command", ["certify", "repro-paper"])
+def test_theta_below_one_is_an_input_error(tmp_path, capsys, command):
+    # with f = zero and k = 0 every margin is positive at theta = 0.5, yet the
+    # certified rate ln(theta) / (2 tau) is negative there
+    path = write_config(tmp_path, base_config(tmp_path / "out", **{
+        "system.f": "zero", "system.lipschitz_k": 0.0}))
+    argv = ["certify", "--config", path] if command == "certify" else ["repro-paper"]
+    assert cli.main(argv + ["--out", str(tmp_path / "out"), "--theta", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: theta must be at least 1 to certify decay, got 0.5\n"
+
+
+def test_simulate_still_runs_below_theta_one(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path / "out", **{
+        "system.f": "zero", "system.lipschitz_k": 0.0, "scenario.mode": "state_feedback"}))
+    assert cli.main(["simulate", "--config", path, "--theta", "0.5"]) == 0
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("system.tau", True, "'tau' must be a number, got True"),
+    ("gains.theta", True, "'theta' must be a number, got True"),
+    ("sim.x0", [True, False], "'x0[0]' must be a number, got True"),
+    ("system.domain_box", [[-30.0, 30.0], [False, 30.0]], "'domain_box[1][0]' must be a number, got False"),
+], ids=["tau", "theta", "x0", "domain_box"])
+def test_json_booleans_are_not_numbers(tmp_path, capsys, key, value, message):
+    path = write_config(tmp_path, base_config(tmp_path / "out", **{key: value}))
+    assert cli.main(["simulate", "--config", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -361,6 +361,30 @@ def test_integrate_matches_stepwise_loop_with_callable_history(tau, h):
     assert np.array_equal(states, reference)
 
 
+@pytest.mark.parametrize("m, steps", sorted({(m, steps) for m in (2, 5)
+                                             for steps in (m - 1, m, m + 1, 2 * m - 1, 2 * m)}))
+def test_integrate_matches_stepwise_loop_at_the_block_edges(m, steps):
+    # the history block ends at step m, then blocks of m - 1 steps follow; phi'(0) = 2
+    # differs from the right-hand side at t = 0, as in the test above
+    phi = lambda s: np.array([math.cos(3.0 * s) + 2.0 * s, 1.0 - s * s])
+    rhs = lambda t, x, xd: -2.0 * xd + np.sin(x)
+    h = 0.05
+    reference = _stepwise_integrate(rhs, phi, m * h, h, steps * h)
+    _, states = rs.integrate(rhs, phi, tau=m * h, h=h, horizon=steps * h)
+    assert np.array_equal(states, reference)
+
+
+def test_integrate_calls_the_right_hand_side_four_times_per_step():
+    calls = []
+
+    def rhs(t, x, xd):
+        calls.append(t)
+        return -xd
+
+    rs.integrate(rhs, np.array([1.0]), tau=0.1, h=0.02, horizon=1.0)
+    assert len(calls) == 4 * 50
+
+
 def test_block_midpoints_equal_single_segments_across_break():
     m, width = 6, 2
     rng = np.random.default_rng(7)
