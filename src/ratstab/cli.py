@@ -179,7 +179,7 @@ def _history_exprs(texts, n: int):
     """The history phi(s) given by n expression strings in t, parsed and compiled once."""
     if not isinstance(texts, list) or len(texts) != n or not all(isinstance(t, str) for t in texts):
         raise ConfigError(f"history needs {n} expression strings")
-    compiled = []
+    exprs = []
     for text in texts:
         e = exprlang.parse(text)
         extra = exprlang.free_vars(e) - {"t"}
@@ -187,8 +187,9 @@ def _history_exprs(texts, n: int):
             raise ConfigError(
                 f"history expression {text!r} may only reference 't', found {sorted(extra)[0]!r}"
             )
-        compiled.append(exprlang.compile_expr(e))
-    return lambda s: np.array([c({"t": float(s)}) for c in compiled])
+        exprs.append(e)
+    phi = exprlang.compile_vector(exprs, ("t",))
+    return lambda s: np.array(phi(float(s)))
 
 
 def build_system(cfg: RunConfig) -> SystemSpec:
@@ -209,19 +210,21 @@ def build_histories(cfg: RunConfig):
     return phis.get("x", np.asarray(cfg.x0, dtype=float)), phis.get("xhat", xhat0)
 
 
-def _ensure_out_dir(out_dir: str) -> str:
+def _output_path(out_dir: str, name: str) -> str:
+    """out_dir/name, creating out_dir; called just before the file is written."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise OutputIOError(f"cannot create output directory {out_dir}: {exc}") from exc
-    return out_dir
+    return os.path.join(out_dir, name)
 
 
 def _matrix_text(M: np.ndarray) -> str:
     return "[" + ", ".join("[" + ", ".join(f"{v:.8f}" for v in row) + "]" for row in M) + "]"
 
 
-def _render_certification(sys_spec: SystemSpec, result: certify.Certification, out_path: str):
+def _render_certification(sys_spec: SystemSpec, result: certify.Certification, out_dir: str,
+                          file_name: str):
     report, cert_p, cert_s = result.report, result.cert_p, result.cert_s
     print("certification")
     print(f"  theta = {report.theta:g}  tau = {report.tau:g}  k = {report.k:g}")
@@ -241,6 +244,7 @@ def _render_certification(sys_spec: SystemSpec, result: certify.Certification, o
         print("  composite weight (output feedback): " + (
             f"unconstrained (k = {report.k:g})" if math.isinf(alpha_of) else f"alpha = {alpha_of:.6g}"))
     print(f"  overall: {'PASS' if report.all_pass else 'FAIL'}")
+    out_path = _output_path(out_dir, file_name)
     try:
         with open(out_path, "w", newline="\n") as handle:
             json.dump(payload, handle, indent=2)
@@ -253,11 +257,10 @@ def _render_certification(sys_spec: SystemSpec, result: certify.Certification, o
 def cmd_certify(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
-    out_dir = _ensure_out_dir(cfg.out_dir)
     sys_spec = build_system(cfg)
     advisory = estimate_lipschitz(sys_spec.f, sys_spec.domain_box, seed=cfg.seed)
     result = certify.certify_gains(build_gains(cfg), sys_spec.tau, sys_spec.lipschitz_k, advisory)
-    _render_certification(sys_spec, result, os.path.join(out_dir, "certificate.json"))
+    _render_certification(sys_spec, result, cfg.out_dir, "certificate.json")
     return 0 if result.report.all_pass else 1
 
 
@@ -278,7 +281,7 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
-def _simulate(cfg: RunConfig, sys_spec: SystemSpec, gains: GainSet, out_dir: str,
+def _simulate(cfg: RunConfig, sys_spec: SystemSpec, gains: GainSet,
               csv_name: str = "trajectory.csv"):
     scenario = _SCENARIOS[cfg.mode]
     phi, phi_hat = build_histories(cfg)
@@ -286,7 +289,7 @@ def _simulate(cfg: RunConfig, sys_spec: SystemSpec, gains: GainSet, out_dir: str
         raise ConfigError(f"scenario '{cfg.mode}' needs 'xhat0' (or an xhat history)")
     traj = run_scenario(sys_spec, gains, scenario, phi, phi_hat, h=cfg.h, horizon=cfg.horizon)
 
-    csv_path = os.path.join(out_dir, csv_name)
+    csv_path = _output_path(cfg.out_dir, csv_name)
     analyze.emit_csv(traj, csv_path)
     artifacts = [csv_path]
     norms, err = traj.norm_x(), traj.norm_err()
@@ -317,12 +320,11 @@ def _simulate(cfg: RunConfig, sys_spec: SystemSpec, gains: GainSet, out_dir: str
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
-    out_dir = _ensure_out_dir(cfg.out_dir)
     if cfg.mode is None:
         raise ConfigError("section 'scenario' with 'mode' is required for simulation")
     if cfg.h is None or cfg.horizon is None:
         raise ConfigError("section 'sim' with 'h' and 'T' is required for simulation")
-    _simulate(cfg, build_system(cfg), build_gains(cfg), out_dir)
+    _simulate(cfg, build_system(cfg), build_gains(cfg))
     return 0
 
 
@@ -362,14 +364,13 @@ _REFERENCE_NORM_S = 1.0169
 def cmd_repro_paper(args) -> int:
     cfg = parse_config(_REFERENCE_CONFIG)
     _apply_overrides(cfg, args)
-    out_dir = _ensure_out_dir(cfg.out_dir)
     sys_spec, gains = build_system(cfg), build_gains(cfg)
     advisory = estimate_lipschitz(sys_spec.f, sys_spec.domain_box, seed=cfg.seed)
     result = certify.certify_gains(gains, sys_spec.tau, sys_spec.lipschitz_k, advisory)
 
     print("reference reproduction (built-in benchmark)")
     print(f"  gains: L = {cfg.L}  K = {cfg.K}  theta = {cfg.theta:g}  tau = {cfg.tau:g}")
-    _render_certification(sys_spec, result, os.path.join(out_dir, "repro_certificate.json"))
+    _render_certification(sys_spec, result, cfg.out_dir, "repro_certificate.json")
 
     def residual(A, X):  # of A'X + XA + I; residual(A.T, X) is the transposed convention
         return float(np.linalg.norm(A.T @ X + X @ A + np.eye(2)))
@@ -397,7 +398,7 @@ def cmd_repro_paper(args) -> int:
     print("    the reference norm ||P|| = 1.0682 matches the reference matrix as printed,")
     print("    not the solution of the equation as written; the computed value stands")
 
-    _simulate(cfg, sys_spec, gains, out_dir, csv_name="repro_trajectory.csv")
+    _simulate(cfg, sys_spec, gains, csv_name="repro_trajectory.csv")
     return 0
 
 

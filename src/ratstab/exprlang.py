@@ -12,12 +12,20 @@ Identifiers are case-sensitive. Valid variables are the states x1, x2, ...,
 the delayed states xd1, xd2, ..., the input u and time t. Available
 functions: sin, cos, tan, tanh, exp, ln, sqrt, abs.
 
-An AST is compiled once by :func:`compile_expr` into nested closures, which
-callers keep and call for every point. One builder serves two operation
-tables. The scalar table evaluates one point, a mapping from variable name
-to float, with :mod:`math`; the column table evaluates many points at once,
-a mapping from variable name to a 1-D numpy column, with numpy ufuncs.
+An AST is compiled once into a generated Python function, which callers
+keep and call for every point. The compiler walks the tree with an
+explicit stack, emits one assignment per operator node into straight-line
+source and hands that to the ``compile`` builtin once. Literals and table
+entries are bound as values, and a variable is read by the string literal
+of its name, so no AST text becomes code. One generator serves two
+operation tables. The scalar table evaluates one point with :mod:`math`;
+the column table evaluates many points at once, 1-D numpy columns, with
+numpy ufuncs. :func:`compile_expr` gives a
+function of a mapping from variable name to value, in either table, and
 :func:`evaluate` is "compile with the scalar table, then call".
+:func:`compile_vector` compiles several ASTs into one scalar function of
+positional arguments, such as a nonlinearity's ``point(xs, xds, u)`` or a
+history's ``phi(t)``, with no mapping built per call.
 
 Both tables follow one non-finite policy. Evaluation is plain IEEE double
 arithmetic and total: domain errors (ln of a negative number, division by
@@ -25,9 +33,9 @@ zero, ...) produce non-finite values instead of raising, so callers driving
 the evaluator inside a simulation loop can apply their own divergence
 policy; ``0^y`` with ``y < 0`` is ``+inf`` whatever the sign of the zero.
 The column table raises no floating-point warnings. Its ``+ - * / ^``,
-negation, ``sqrt`` and ``abs`` give the scalar table's doubles bit for bit;
-its other functions may differ from :mod:`math` by a few ulp, never in
-class (finite, nan, +inf or -inf). The names :func:`evaluate` and
+negation, ``sqrt`` and ``abs`` give the scalar table's doubles bit for bit,
+up to the sign of a NaN; its other functions may differ from :mod:`math`
+by a few ulp, never in class (finite, nan, +inf or -inf). The names :func:`evaluate` and
 :func:`compile_expr` avoid shadowing the ``eval`` and ``compile`` builtins.
 """
 
@@ -44,7 +52,7 @@ import numpy as np
 from .errors import ToolkitError
 
 _MAX_NEST = 150  # parse recursion guard; arbitrary byte strings must not blow the stack
-_MAX_HEIGHT = 300  # AST height guard; free_vars, compile_expr and to_string recurse per level
+_MAX_HEIGHT = 300  # AST height guard; to_string recurses, generated code keeps a local, per level
 
 
 class ExprSyntaxError(ToolkitError):
@@ -315,20 +323,81 @@ _COLUMN_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
                "exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "abs": np.abs}
 
 
-def _build(expr: Expr, ops: Mapping[str, Callable]) -> Callable:
-    if isinstance(expr, Num):
-        value = expr.value
-        return lambda env: value
-    if isinstance(expr, Var):
-        return operator.itemgetter(expr.name)
-    if isinstance(expr, Neg):
-        op, arg = ops["neg"], _build(expr.arg, ops)
-        return lambda env: op(arg(env))
-    if isinstance(expr, Call):
-        op, arg = ops[expr.func], _build(expr.arg, ops)
-        return lambda env: op(arg(env))
-    op, left, right = ops[expr.op], _build(expr.left, ops), _build(expr.right, ops)
-    return lambda env: op(left(env), right(env))
+# table entries that generated code spells as Python operators: the same operations
+_SYNTAX = {(operator.add, 2): "{} + {}", (operator.sub, 2): "{} - {}",
+           (operator.mul, 2): "{} * {}", (operator.neg, 1): "-{}"}
+
+_STATE_RE = re.compile(r"(xd?)([1-9][0-9]{0,8})\Z")  # longer indexes name no state
+
+
+def _generate(exprs, ops: Mapping[str, Callable], params: tuple, read: Callable) -> Callable:
+    """Compile ASTs into one straight-line Python function of ``params``.
+
+    The walk is post-order with an explicit stack and emits one assignment
+    per operator node. The value at stack position d goes to local
+    ``s<d>``, so the function has one such local per tree level, not one
+    per node. Literals and table entries are bound as values in the
+    function's namespace, which holds no builtins. ``read(name)`` gives
+    the code that reads variable ``name`` from ``params``, or None when
+    nothing binds it; each variable is read once, into a local named
+    here. So no AST text ever becomes code. The function returns the list
+    of the expressions' values.
+    """
+    namespace = {"__builtins__": {}}
+    templates = {}  # (table key, arity) -> code with one {} per operand
+    held = {}  # variable name -> local or parameter holding it
+    reads, body = [], []
+    values = []  # operand per stack position: a slot, a literal's name or a variable's
+
+    def bind(value) -> str:
+        name = f"k{len(namespace) - 1}"
+        namespace[name] = value
+        return name
+
+    def variable(name) -> str:
+        if name not in held:
+            code = read(name)
+            if code is None:
+                raise ExprEvalError(f"unbound variable {name!r}")
+            if code in params:
+                held[name] = code
+            else:
+                held[name] = f"v{len(reads)}"
+                reads.append(f"    {held[name]} = {code}")
+        return held[name]
+
+    for expr in exprs:
+        todo = [(expr, False)]
+        while todo:
+            node, expanded = todo.pop()
+            if isinstance(node, Num):
+                values.append(bind(node.value))
+            elif isinstance(node, Var):
+                values.append(variable(node.name))
+            elif not expanded:
+                todo.append((node, True))
+                todo.extend((child, False) for child in reversed(_children(node)))
+            else:
+                arity = 2 if isinstance(node, Bin) else 1
+                key = node.op if arity == 2 else "neg" if isinstance(node, Neg) else node.func
+                if (key, arity) not in templates:
+                    if key not in ops:
+                        raise ExprEvalError(f"unknown operation {key!r}")
+                    fn = ops[key]
+                    templates[key, arity] = (_SYNTAX.get((fn, arity))
+                                             or f"{bind(fn)}({', '.join(['{}'] * arity)})")
+                args = values[-arity:]
+                del values[-arity:]
+                body.append(f"    s{len(values)} = {templates[key, arity].format(*args)}")
+                values.append(f"s{len(values)}")
+    source = "\n".join([f"def generated({', '.join(params)}):", *reads, *body,
+                        f"    return [{', '.join(values)}]", ""])
+    exec(compile(source, "<exprlang>", "exec"), namespace)
+    return namespace["generated"]
+
+
+def _env_read(name):
+    return f"env[{name!r}]" if type(name) is str else None  # a str's repr is a string literal
 
 
 def compile_expr(expr: Expr, columns: bool = False) -> Callable[[Mapping], float]:
@@ -340,18 +409,40 @@ def compile_expr(expr: Expr, columns: bool = False) -> Callable[[Mapping], float
     expression reads no variable. Every variable read must be bound, or
     the call raises ExprEvalError naming it.
     """
-    fn = _build(expr, _COLUMN_OPS if columns else _SCALAR_OPS)
+    fn = _generate([expr], _COLUMN_OPS if columns else _SCALAR_OPS, ("env",), _env_read)
 
     def compiled(env):
         try:
             if columns:
                 with np.errstate(all="ignore"):
-                    return fn(env)
-            return fn(env)
-        except KeyError as exc:  # only a variable lookup raises it, in either table
+                    return fn(env)[0]
+            return fn(env)[0]
+        except KeyError as exc:  # only a variable read raises it, in either table
             raise ExprEvalError(f"unbound variable {exc.args[0]!r}") from None
 
     return compiled
+
+
+def compile_vector(exprs, params: tuple) -> Callable[..., list]:
+    """Compile scalar ASTs once into one function of positional ``params``.
+
+    ``params`` names the arguments in order: ``"x"`` and ``"xd"`` are
+    sequences of floats, read as x1 = x[0], xd2 = xd[1] and so on, and
+    ``"u"`` and ``"t"`` are floats. The function returns the list of the
+    expressions' values. A variable that no parameter binds raises
+    ExprEvalError naming it here, at compile time.
+    """
+    def read(name):
+        if type(name) is not str:
+            return None
+        if name in ("u", "t"):
+            return name if name in params else None
+        m = _STATE_RE.match(name)
+        if m is None or m.group(1) not in params:
+            return None
+        return f"{m.group(1)}[{int(m.group(2)) - 1}]"
+
+    return _generate(exprs, _SCALAR_OPS, tuple(params), read)
 
 
 def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
@@ -393,7 +484,7 @@ def _prec(expr: Expr) -> int:
 def to_string(expr: Expr) -> str:
     """Unparse an AST; parse(to_string(e)) is structurally identical to e."""
     if isinstance(expr, Num):
-        return repr(expr.value)
+        return "1e999" if expr.value == math.inf else repr(expr.value)  # parse overflows to inf
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Neg):

@@ -32,10 +32,11 @@ class Nonlinearity:
     """Triangular vector nonlinearity f(x, x_delayed, u) -> R^n.
 
     Built either from a plain Python callable (registry entries) or from a
-    list of expression ASTs, one per component, compiled once here. Either
-    way f has one scalar core, :attr:`point`: ``point(xs, xds, u)`` takes
-    two lists of n Python floats and a float and returns n floats. A
-    callable ``fn`` is that core itself, so it must follow this contract.
+    list of expression ASTs, one per component, compiled here once into one
+    generated function. Either way f has one scalar core, :attr:`point`:
+    ``point(xs, xds, u)`` takes two lists of n Python floats and a float
+    and returns n floats. A callable ``fn`` is that core itself, so it must
+    follow this contract.
     Construction validates the triangular dependency structure, that f
     returns n values, and that the origin is an equilibrium for a grid of
     input values. Call it on one point; :meth:`rows` evaluates many points,
@@ -53,19 +54,12 @@ class Nonlinearity:
                 raise ConfigError(
                     f"expected {self.n} component expressions, got {len(self.components)}"
                 )
-            self._var_names = var_names = [f"x{i + 1}" for i in range(self.n)] + [
+            self._var_names = [f"x{i + 1}" for i in range(self.n)] + [
                 f"xd{i + 1}" for i in range(self.n)
             ]
             self._check_triangular_structure()
-            scalar = [exprlang.compile_expr(c) for c in self.components]
+            self.point = exprlang.compile_vector(self.components, ("x", "xd", "u"))
             self._columns = [exprlang.compile_expr(c, columns=True) for c in self.components]
-
-            def point(xs, xds, u):
-                env = dict(zip(var_names, xs + xds))
-                env["u"] = u
-                return [c(env) for c in scalar]
-
-            self.point = point
         else:
             self.point = fn
         self._check_zero_at_origin()
@@ -119,7 +113,10 @@ class Nonlinearity:
                         f"component {i + 1} references 't'; the nonlinearity is time-invariant"
                     )
                 m = _VAR_INDEX_RE.match(var)
-                index = int(m.group(2))
+                if m is None:  # only a hand-built AST holds such a name
+                    raise ConfigError(f"component {i + 1} references unknown variable {var!r}")
+                digits = m.group(2)
+                index = int(digits) if len(digits) <= 9 else math.inf  # int() caps at 4300 digits
                 if index > self.n:
                     raise ConfigError(
                         f"component {i + 1} references {var!r} but the system has n={self.n}"

@@ -489,3 +489,31 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, key, value, message):
     path = write_config(tmp_path, base_config(tmp_path / "out", **{key: value}))
     assert cli.main(["simulate", "--config", path]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, tweaks, flags", [
+    ("repro-paper", {}, ["--theta", "0.5"]),
+    ("certify", {"gains.K": [0.0, 0.0]}, []),
+    ("simulate", {}, []),
+], ids=["repro_theta_below_one", "certify_non_hurwitz", "simulate_without_mode"])
+def test_input_error_leaves_no_output_directory(tmp_path, capsys, command, tweaks, flags):
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)] + flags
+    if command != "repro-paper":
+        cfg = base_config(out, **tweaks)
+        if command == "simulate":
+            del cfg["scenario"]
+        argv += ["--config", write_config(tmp_path, cfg)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_history_function_matches_component_expressions():
+    texts = ["1.5 - 0.25*t", "cos(t)*2 + t^2", "sqrt(-t)/(1 + t)"]
+    phi = cli._history_exprs(texts, 3)
+    compiled = [rs.exprlang.compile_expr(rs.exprlang.parse(text)) for text in texts]
+    for s in np.linspace(-1.0, 0.0, 41).tolist() + [-0.0]:
+        got = phi(s)
+        assert got.dtype == float and got.shape == (3,)
+        assert got.tobytes() == np.array([c({"t": s}) for c in compiled]).tobytes()

@@ -1,10 +1,12 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
 
 import ratstab as rs
+from ratstab import exprlang as el
 from ratstab.errors import ConfigError, NotHurwitzError
 from ratstab.sysmodel import U_ZERO_GRID, Nonlinearity
 
@@ -320,3 +322,32 @@ def test_rows_match_call_on_lists():
     out = f.rows(X, XD, U)
     for i in range(100):
         assert np.array_equal(out[i], f(X[i], XD[i], U[i]))
+
+
+def test_point_matches_component_expressions():
+    texts = ["0.3*x1 - xd1*cos(u)", "x1*x2 + sin(xd2)/2 - x2/1e999", "0",
+             "tanh(x3)^2 - abs(xd1)*x2 + exp(-xd3^2)*u*x4"]
+    f = rs.make_nonlinearity(texts, 4)
+    compiled = [el.compile_expr(c) for c in f.components]
+    rng = np.random.default_rng(5)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308]
+    for _ in range(200):
+        xs = [float(v) for v in rng.uniform(-3.0, 3.0, 4)]
+        xds = [float(v) for v in rng.uniform(-3.0, 3.0, 4)]
+        u = float(rng.choice(specials)) if rng.random() < 0.2 else float(rng.uniform(-2.0, 2.0))
+        xs[int(rng.integers(0, 4))] = float(rng.choice(specials))
+        env = dict(zip([f"x{i}" for i in range(1, 5)] + [f"xd{i}" for i in range(1, 5)], xs + xds))
+        env["u"] = u
+        want = [c(env) for c in compiled]
+        got = f.point(xs, xds, u)
+        assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
+
+
+def test_state_index_past_the_integer_digit_limit_is_a_config_error():
+    with pytest.raises(ConfigError, match="the system has n=1"):
+        rs.make_nonlinearity(["x" + "1" * 5000], 1)
+
+
+def test_unknown_variable_in_a_built_ast_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown variable 'y'"):
+        Nonlinearity(1, components=[el.Bin("*", el.Num(0.0), el.Var("y"))])
