@@ -20,7 +20,7 @@ import numpy as np
 from . import analyze, certify, exprlang
 from .ddesim import Scenario, run_scenario
 from .errors import ConfigError, DivergedError, NoFeasibleThetaError, OutputIOError, ToolkitError
-from .matops import solve_lyapunov
+from .matops import check_dimension, solve_lyapunov
 from .sysmodel import GainSet, SystemSpec, estimate_lipschitz, make_nonlinearity
 
 _SCENARIOS = {s.value: s for s in Scenario}
@@ -106,6 +106,7 @@ def parse_config(raw: dict) -> RunConfig:
     n = system["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ConfigError(f"'n' must be an integer, got {n!r}")
+    check_dimension(n)
     tau = _finite(system["tau"], "tau")
     lipschitz_k = _finite(system["lipschitz_k"], "lipschitz_k")
     f_source = system["f"]

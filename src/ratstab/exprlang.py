@@ -23,9 +23,10 @@ the column table evaluates many points at once, 1-D numpy columns, with
 numpy ufuncs. :func:`compile_expr` gives a
 function of a mapping from variable name to value, in either table, and
 :func:`evaluate` is "compile with the scalar table, then call".
-:func:`compile_vector` compiles several ASTs into one scalar function of
-positional arguments, such as a nonlinearity's ``point(xs, xds, u)`` or a
-history's ``phi(t)``, with no mapping built per call.
+:func:`compile_vector` compiles several ASTs into one function of
+positional arguments, in either table, such as a nonlinearity's
+``point(xs, xds, u)`` or a history's ``phi(t)``, with no mapping built per
+call.
 
 Both tables follow one non-finite policy. Evaluation is plain IEEE double
 arithmetic and total: domain errors (ln of a negative number, division by
@@ -53,6 +54,7 @@ from .errors import ToolkitError
 
 _MAX_NEST = 150  # parse recursion guard; arbitrary byte strings must not blow the stack
 _MAX_HEIGHT = 300  # AST height guard; to_string recurses, generated code keeps a local, per level
+_MAX_TOKENS = 10_000  # size guard; compiling costs time and memory linear in the size
 
 
 class ExprSyntaxError(ToolkitError):
@@ -154,6 +156,8 @@ def _tokenize(text: str):
         if ch.isspace():
             pos += 1
             continue
+        if len(tokens) == _MAX_TOKENS:
+            raise ExprSyntaxError(pos, f"expression has more than {_MAX_TOKENS} tokens")
         m = _NUM_RE.match(text, pos)
         if m is not None:
             tokens.append(("num", m.group(), pos))
@@ -281,7 +285,12 @@ def _raise_expected_value(kind, value, offset):
 
 
 def parse(text: str) -> Expr:
-    """Parse expression text into an AST; raises ExprSyntaxError with offset."""
+    """Parse expression text into an AST; raises ExprSyntaxError with offset.
+
+    Text of more than 10,000 tokens (numbers, names, operators and
+    brackets), nested more than 150 levels or whose tree is more than 300
+    levels high is rejected.
+    """
     return _Parser(_tokenize(text)).parse()
 
 
@@ -423,14 +432,17 @@ def compile_expr(expr: Expr, columns: bool = False) -> Callable[[Mapping], float
     return compiled
 
 
-def compile_vector(exprs, params: tuple) -> Callable[..., list]:
-    """Compile scalar ASTs once into one function of positional ``params``.
+def compile_vector(exprs, params: tuple, columns: bool = False) -> Callable[..., list]:
+    """Compile ASTs once into one function of positional ``params``.
 
     ``params`` names the arguments in order: ``"x"`` and ``"xd"`` are
-    sequences of floats, read as x1 = x[0], xd2 = xd[1] and so on, and
-    ``"u"`` and ``"t"`` are floats. The function returns the list of the
-    expressions' values. A variable that no parameter binds raises
-    ExprEvalError naming it here, at compile time.
+    sequences, read as x1 = x[0], xd2 = xd[1] and so on, and ``"u"`` and
+    ``"t"`` are single values. With ``columns=False`` every value is a
+    float; with ``columns=True`` it is a 1-D float array, all of one
+    length, and the caller chooses numpy's error state. The function
+    returns the list of the expressions' values, where an expression that
+    reads no variable gives one number. A variable that no parameter binds
+    raises ExprEvalError naming it here, at compile time.
     """
     def read(name):
         if type(name) is not str:
@@ -442,7 +454,7 @@ def compile_vector(exprs, params: tuple) -> Callable[..., list]:
             return None
         return f"{m.group(1)}[{int(m.group(2)) - 1}]"
 
-    return _generate(exprs, _SCALAR_OPS, tuple(params), read)
+    return _generate(exprs, _COLUMN_OPS if columns else _SCALAR_OPS, tuple(params), read)
 
 
 def evaluate(expr: Expr, env: Mapping[str, float]) -> float:

@@ -40,14 +40,19 @@ def _square(M, what: str = "matrix") -> np.ndarray:
     return A
 
 
+def check_dimension(n) -> None:
+    """Raise ConfigError unless n is an integer in 1..MAX_DIM."""
+    if not isinstance(n, (int, np.integer)) or n < 1 or n > MAX_DIM:
+        raise ConfigError(f"dimension must be an integer in 1..{MAX_DIM}, got {n!r}")
+
+
 def build_companion(n: int):
     """Chain-of-integrators triple (A, B, C).
 
     A has ones on the superdiagonal and zeros elsewhere, B is the last
     standard basis vector and C the first basis covector.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1 or n > MAX_DIM:
-        raise ConfigError(f"dimension must be an integer in 1..{MAX_DIM}, got {n!r}")
+    check_dimension(n)
     A = np.diag(np.ones(n - 1), 1) if n > 1 else np.zeros((1, 1))
     B = np.zeros(n)
     B[-1] = 1.0
@@ -209,6 +214,5 @@ def delta_theta(theta: float, n: int) -> np.ndarray:
     """Diagonal scaling diag(1, 1/theta, ..., 1/theta^(n-1))."""
     if not (theta > 0.0) or not math.isfinite(theta):
         raise ConfigError(f"theta must be positive and finite, got {theta!r}")
-    if not isinstance(n, (int, np.integer)) or n < 1 or n > MAX_DIM:
-        raise ConfigError(f"dimension must be an integer in 1..{MAX_DIM}, got {n!r}")
+    check_dimension(n)
     return np.diag(theta ** -np.arange(n, dtype=float))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import exprlang
 from .errors import ConfigError, NotHurwitzError
-from .matops import MAX_DIM, build_companion, delta_theta, is_hurwitz
+from .matops import MAX_DIM, build_companion, check_dimension, delta_theta, is_hurwitz
 
 # f(0, 0, u) = 0 is asserted on this input grid at construction time; the
 # Lipschitz advisory cycles u through it
@@ -31,12 +31,13 @@ _VAR_INDEX_RE = re.compile(r"(xd?)([1-9][0-9]*)\Z")
 class Nonlinearity:
     """Triangular vector nonlinearity f(x, x_delayed, u) -> R^n.
 
-    Built either from a plain Python callable (registry entries) or from a
-    list of expression ASTs, one per component, compiled here once into one
-    generated function. Either way f has one scalar core, :attr:`point`:
-    ``point(xs, xds, u)`` takes two lists of n Python floats and a float
-    and returns n floats. A callable ``fn`` is that core itself, so it must
-    follow this contract.
+    Built either from a list of expression ASTs, one per component, or
+    from a plain Python callable. Either way f has one scalar core,
+    :attr:`point`: ``point(xs, xds, u)`` takes two lists of n Python
+    floats and a float and returns n floats. The components compile here
+    once into that core and once into one column function, which
+    :meth:`rows` calls; a callable ``fn`` is the core itself, so it must
+    follow this contract, and :meth:`rows` calls it row by row.
     Construction validates the triangular dependency structure, that f
     returns n values, and that the origin is an equilibrium for a grid of
     input values. Call it on one point; :meth:`rows` evaluates many points,
@@ -54,12 +55,9 @@ class Nonlinearity:
                 raise ConfigError(
                     f"expected {self.n} component expressions, got {len(self.components)}"
                 )
-            self._var_names = [f"x{i + 1}" for i in range(self.n)] + [
-                f"xd{i + 1}" for i in range(self.n)
-            ]
             self._check_triangular_structure()
             self.point = exprlang.compile_vector(self.components, ("x", "xd", "u"))
-            self._columns = [exprlang.compile_expr(c, columns=True) for c in self.components]
+            self._columns = exprlang.compile_vector(self.components, ("x", "xd", "u"), columns=True)
         else:
             self.point = fn
         self._check_zero_at_origin()
@@ -96,11 +94,11 @@ class Nonlinearity:
         if self.components is None:
             values = [self.point(x, xd, u) for x, xd, u in zip(X.tolist(), XD.tolist(), U.tolist())]
             return np.array(values, dtype=float).reshape(len(U), self.n)
-        env = dict(zip(self._var_names, np.concatenate([X.T, XD.T])))
-        env["u"] = U
+        columns = np.concatenate([X.T, XD.T])  # one contiguous row per variable
         out = np.empty((len(U), self.n))
-        for i, c in enumerate(self._columns):
-            out[:, i] = c(env)
+        with np.errstate(all="ignore"):
+            for i, value in enumerate(self._columns(columns[:self.n], columns[self.n:], U)):
+                out[:, i] = value  # a component that reads no variable is one number
         return out
 
     def _check_triangular_structure(self):
@@ -157,41 +155,26 @@ class Nonlinearity:
                 raise ConfigError(f"f(0, 0, u) must vanish; got {val} at u={u}")
 
 
-def _zero_factory(n: int) -> Nonlinearity:
-    return Nonlinearity(n, fn=lambda x, xd, u: [0.0] * len(x), name="zero")
-
-
-def _paper_example_factory(n: int) -> Nonlinearity:
-    # first component x1*cos(x1) + xd1*cos(u), all others zero
-    cos = exprlang.FUNCTIONS["cos"]  # nan at +-inf, as in the expression form
-    rest = [0.0] * (n - 1)
-
-    def fn(x, xd, u):
-        x1, xd1 = x[0], xd[0]
-        return [x1 * cos(x1) + xd1 * cos(u)] + rest
-
-    return Nonlinearity(n, fn=fn, name="paper_example")
-
-
-REGISTRY: dict[str, Callable[[int], Nonlinearity]] = {
-    "zero": _zero_factory,
-    "paper_example": _paper_example_factory,
+# built-in nonlinearities: a name stands for its leading component texts,
+# and every further component is "0"
+REGISTRY: dict[str, tuple[str, ...]] = {
+    "zero": (),
+    "paper_example": ("x1*cos(x1) + xd1*cos(u)",),
 }
 
 
 def make_nonlinearity(source, n: int) -> Nonlinearity:
     """Build a nonlinearity from a registry name or a list of expression strings."""
-    if not isinstance(n, (int, np.integer)) or n < 1 or n > MAX_DIM:
-        raise ConfigError(f"dimension must be an integer in 1..{MAX_DIM}, got {n!r}")
+    check_dimension(n)
+    name = "<expressions>"
     if isinstance(source, str):
-        try:
-            factory = REGISTRY[source]
-        except KeyError:
+        if source not in REGISTRY:
             known = ", ".join(sorted(REGISTRY))
-            raise ConfigError(f"unknown nonlinearity {source!r} (known: {known})") from None
-        return factory(n)
+            raise ConfigError(f"unknown nonlinearity {source!r} (known: {known})")
+        name, leading = source, REGISTRY[source]
+        source = [*leading, *["0"] * (n - len(leading))]
     exprs = [exprlang.parse(text) for text in source]
-    return Nonlinearity(n, components=exprs, name="<expressions>")
+    return Nonlinearity(n, components=exprs, name=name)
 
 
 def scale_gains(L, K, theta: float):
@@ -286,8 +269,7 @@ class SystemSpec:
     domain_box: tuple[tuple[float, float], ...] | None = field(default=None)
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1 or self.n > MAX_DIM:
-            raise ConfigError(f"dimension must be an integer in 1..{MAX_DIM}, got {self.n!r}")
+        check_dimension(self.n)
         if not (self.tau > 0.0) or not math.isfinite(self.tau):
             raise ConfigError(f"delay must be positive and finite, got {self.tau!r}")
         if not (self.lipschitz_k >= 0.0) or not math.isfinite(self.lipschitz_k):

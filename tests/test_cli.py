@@ -517,3 +517,75 @@ def test_history_function_matches_component_expressions():
         got = phi(s)
         assert got.dtype == float and got.shape == (3,)
         assert got.tobytes() == np.array([c({"t": s}) for c in compiled]).tobytes()
+
+
+def _without(section):
+    def edit(cfg):
+        del cfg[section]
+        return cfg
+    return edit
+
+
+def _with(section, value):
+    def edit(cfg):
+        cfg[section] = value
+        return cfg
+    return edit
+
+
+def _tweak(key, value):
+    def edit(cfg):
+        section, name = key.split(".")
+        cfg[section][name] = value
+        return cfg
+    return edit
+
+
+@pytest.mark.parametrize("command, edit, flags, code, message", [
+    ("simulate", _without("sim"), [], 2, "section 'sim' with 'h' and 'T' is required for simulation"),
+    ("simulate", _without("sim"), ["--step", "0.01", "--horizon", "2"], 2,
+     "section 'sim' with 'x0' is required for simulation"),
+    ("simulate", _tweak("sim.history", {"x": ["x1", "0"]}), [], 2,
+     "history expression 'x1' may only reference 't', found 'x1'"),
+    ("simulate", _tweak("sim.history", 5), [], 2,
+     "'history' must be \"constant\" or {\"x\": [...], \"xhat\": [...]}"),
+    ("simulate", _tweak("sim.history", "constant"), [], 0, None),
+    ("certify", _tweak("system.f", 5), [], 2,
+     "'f' must be a registry name or a list of expression strings"),
+    ("certify", _tweak("system.n", 2.0), [], 2, "'n' must be an integer, got 2.0"),
+    ("certify", _tweak("sim.seed", 1.5), [], 2, "'seed' must be an integer, got 1.5"),
+    ("certify", _tweak("system.domain_box", 5), [], 2, "'domain_box' must be a list of [lo, hi] pairs"),
+    ("certify", _tweak("system.tau", "abc"), [], 2, "'tau' must be a number, got 'abc'"),
+    ("certify", _tweak("system.tau", math.inf), [], 2, "'tau' must be finite, got inf"),
+    ("certify", _with("gains", []), [], 2, "section 'gains' must be a table of keys"),
+    ("certify", lambda cfg: [], [], 2, "config root must be an object with sections"),
+    ("certify", _without("gains"), [], 2, "missing section 'gains'"),
+    ("certify", _tweak("output.directory", 5), [], 2, "'directory' must be a string"),
+    ("certify", _tweak("output.emit_plots", "yes"), [], 2, "'emit_plots' must be a boolean"),
+], ids=["simulate_without_sim", "simulate_without_sim_with_step_and_horizon", "history_reads_x1",
+        "history_is_a_number", "history_constant", "f_is_a_number", "n_is_a_float",
+        "seed_is_a_float", "domain_box_is_a_number", "tau_is_text", "tau_is_infinity",
+        "gains_is_a_list", "root_is_a_list", "gains_missing", "directory_is_a_number",
+        "emit_plots_is_text"])
+def test_config_input_errors(tmp_path, capsys, monkeypatch, command, edit, flags, code, message):
+    monkeypatch.chdir(tmp_path)  # a default relative output directory would land here
+    out = tmp_path / "out"
+    path = write_config(tmp_path, edit(base_config(out)))  # json writes math.inf as Infinity
+    assert cli.main([command, "--config", path] + flags) == code
+    err = capsys.readouterr().err
+    if message is None:
+        assert err == ""
+        assert (out / "trajectory.csv").exists()
+    else:
+        assert err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+@pytest.mark.parametrize("n", [-1, 0, 17])
+def test_dimension_out_of_range_is_named(tmp_path, capsys, command, n):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(out, **{"system.n": n}))
+    assert cli.main([command, "--config", path]) == 2
+    assert capsys.readouterr().err == f"error: dimension must be an integer in 1..16, got {n}\n"
+    assert not out.exists()

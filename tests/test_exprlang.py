@@ -365,3 +365,25 @@ def test_overflowing_literal_unparses_to_a_parsable_literal():
     assert tree == Bin("*", Var("x1"), Num(math.inf))
     assert el.parse(el.to_string(tree)) == tree
     assert el.parse(el.to_string(Num(math.inf))) == Num(math.inf)
+
+
+# --- size guard ------------------------------------------------------------------------------
+
+
+def _text_of_tokens(count):
+    """An accepted shape of exactly ``count`` tokens: a sum of bracketed 100-term chains."""
+    group = "+(x1" + "+x1" * 99 + ")"  # 202 tokens
+    head, head_tokens = ("-x1", 2) if count % 2 == 0 else ("x1", 1)
+    groups, rest = divmod(count - head_tokens, 202)
+    return head + group * groups + "+x1" * (rest // 2)  # rest is even
+
+
+def test_size_guard_at_and_past_the_cap():
+    at_cap = _text_of_tokens(el._MAX_TOKENS)
+    assert len(el._tokenize(at_cap)) == el._MAX_TOKENS + 1  # the end marker is no token
+    tree = el.parse(at_cap)
+    assert el.compile_expr(tree)({"x1": 1.0}) == at_cap.count("x1") - 2
+    past = _text_of_tokens(el._MAX_TOKENS + 1)
+    with pytest.raises(ExprSyntaxError, match="more than 10000 tokens") as caught:
+        el.parse(past)
+    assert caught.value.offset == len(past) - 2  # the last x1, the first token past the cap

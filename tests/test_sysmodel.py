@@ -351,3 +351,29 @@ def test_state_index_past_the_integer_digit_limit_is_a_config_error():
 def test_unknown_variable_in_a_built_ast_is_a_config_error():
     with pytest.raises(ConfigError, match="unknown variable 'y'"):
         Nonlinearity(1, components=[el.Bin("*", el.Num(0.0), el.Var("y"))])
+
+
+def _point_not_called(*args):
+    raise AssertionError("rows must run on columns, not through the scalar core")
+
+
+def test_registry_entries_are_expression_text():
+    f = rs.make_nonlinearity("paper_example", 3)
+    assert f.components == [el.parse(t) for t in ["x1*cos(x1) + xd1*cos(u)", "0", "0"]]
+    assert rs.make_nonlinearity("zero", 2).components == [el.Num(0.0)] * 2
+
+
+def test_paper_advisory_runs_on_columns():
+    f = rs.make_nonlinearity("paper_example", 2)
+    f.point = _point_not_called
+    advisory = rs.estimate_lipschitz(f, [(-30.0, 30.0)] * 2, seed=0)
+    assert advisory == pytest.approx(29.87526469182374, rel=1e-12)
+
+
+def test_rows_of_zero_registry_entry():
+    f = rs.make_nonlinearity("zero", 4)
+    f.point = _point_not_called
+    X, XD = np.random.default_rng(3).uniform(-5, 5, (2, 7, 4))
+    out = f.rows(X, XD, np.linspace(-1.0, 1.0, 7))
+    assert out.shape == (7, 4) and out.dtype == float
+    assert np.array_equal(out, np.zeros((7, 4)))
