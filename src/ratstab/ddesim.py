@@ -20,6 +20,11 @@ feedback shares it but drops f from the observer block, and the plain
 observer has no B K_theta terms and takes u = u_ext(t) through b. A
 single right-hand side serves all of them: u = k z (+ u_ext),
 dz = M z (+ b u_ext), then f(z_block, z_block(t - tau), u) on each block.
+Each run generates it once from the table as straight-line Python on
+floats, together with the RK4 steps of a whole Hermite block, which
+integrate then runs in place of its own loop. Its sums add the nonzero
+products in index order, so the trajectory does not depend on the BLAS
+kernel.
 """
 
 from __future__ import annotations
@@ -182,7 +187,10 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
     phi is a constant vector or a callable on [-tau, 0]; its value at 0 is
     the initial state. Returns (t, states) on the uniform grid covering
     [-tau, horizon], history included. Raises DivergedError at the first
-    node whose state is non-finite or larger than the guard.
+    node whose state is non-finite or larger than the guard. When rhs
+    carries a ``block`` (a generated closed loop, see :func:`_compile_loop`),
+    that function runs the steps of each Hermite block; otherwise a numpy
+    loop calls rhs four times per step.
     """
     m, steps = _grid_layout(tau, h, horizon)
     history, width = _as_history_fn(phi)
@@ -222,9 +230,16 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
         edges = [0, *range(m, steps, m - 1), steps]
         half = 0.5 * h
         sixth = h / 6.0
+        block = getattr(rhs, "block", None)
         for start, stop in zip(edges, edges[1:]):
             mids = _cubic_hermite(states[start:stop], derivs[start:stop],
                                   states[start + 1:stop + 1], derivs[start + 1:stop + 1], h, 0.5)
+            if block is not None:
+                rows, slopes = block(start, stop, states[m + start].tolist(),
+                                     states[start:stop + 1].tolist(), mids.tolist(), h)
+                states[m + start + 1:m + stop + 1] = rows
+                derivs[m + start:m + stop] = slopes
+                continue
             for i, x_mid_delayed in zip(range(start, stop), mids):
                 node = m + i
                 t = i * h
@@ -323,6 +338,120 @@ def _closed_loop(scenario: Scenario, gains: GainSet):
     raise ConfigError(f"unknown scenario {scenario!r}")
 
 
+def _compile_loop(M, b, k, n: int, count: int, point: Callable, external):
+    """The closed loop of a table (M, b, k) as generated straight-line Python on floats.
+
+    f, through ``point``, acts on the first ``count`` n-blocks of z, and
+    ``external`` gives u_ext(t) when b is set. Returns ``rhs(t, z, zd)``, a
+    right-hand side for :func:`integrate` on 1-D arrays, which carries two
+    more functions generated from the same stage code:
+
+    - ``rhs.block(start, stop, x, past, mids, h)`` runs integrate's RK4
+      steps start..stop-1 on floats. It starts from the state x, reads the
+      delayed nodes start..stop from ``past`` and the delayed midpoints from
+      ``mids``, and returns the new states and the slopes at the steps'
+      first nodes, as lists of rows. Its divergence guard raises as
+      integrate's does;
+    - ``rhs.control(columns)`` is u = k z on the columns of the states.
+
+    u, each row of M z and b v are sums that start from 0.0 and add the
+    products of the nonzero entries in index order. So no BLAS kernel's
+    summation order reaches a result, and an exact zero is +0. Table
+    entries are bound as namespace values, never written as text, so inf
+    and nan gains compile too.
+    """
+    width = len(k)
+    namespace = {"__builtins__": {}, "float": float, "range": range, "zip": zip,
+                 "sqrt": math.sqrt, "point": point, "external": external,
+                 "DivergedError": DivergedError, "GUARD": DIVERGENCE_GUARD}
+
+    def bind(value: float) -> str:
+        name = f"w{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    def weights(row) -> list:
+        """The bound name of each nonzero entry of row (nan is not zero), None for a zero."""
+        return [bind(value) if value != 0.0 else None for value in row.tolist()]
+
+    def products(bound: list, values: list) -> list:
+        return [f"{w} * {v}" for w, v in zip(bound, values) if w]
+
+    def total(terms) -> str:
+        return " + ".join(["0.0", *terms])
+
+    def unpack(names: list) -> str:
+        return f"[{', '.join(names)}]"
+
+    M_bound, k_bound = [weights(row) for row in M], weights(k)
+    b_bound = weights(b) if external is not None else [None] * width
+    fs = [f"f{i}" for i in range(count * n)]
+
+    def stage(time: str, z: list, zd: list, out: list) -> list:
+        """Lines that set ``out`` to the right-hand side at (time, z, zd)."""
+        lines = [f"u = {total(products(k_bound, z))}"]
+        if external is not None:
+            lines += [f"v = float(external({time}))", "u = u + v"]
+        for lo in range(0, count * n, n):
+            lines.append(f"{unpack(fs[lo:lo + n])} = "
+                         f"point({unpack(z[lo:lo + n])}, {unpack(zd[lo:lo + n])}, u)")
+        for i in range(width):
+            terms = products(M_bound[i], z)
+            if b_bound[i]:
+                terms.append(f"{b_bound[i]} * v")
+            if i < len(fs):
+                terms.append(fs[i])
+            lines.append(f"{out[i]} = {total(terms)}")
+        return lines
+
+    def row(prefix: str) -> list:
+        return [f"{prefix}{i}" for i in range(width)]
+
+    x, z, d, e, c = row("x"), row("z"), row("d"), row("e"), row("c")
+    k1, k2, k3, k4 = row("p"), row("q"), row("r"), row("s")
+    step = [
+        "t = i * h",
+        *stage("t", x, d, k1),
+        f"slopes.append({unpack(k1)})",
+        *(f"{z[i]} = {x[i]} + half * {k1[i]}" for i in range(width)),
+        *stage("t + half", z, c, k2),
+        *(f"{z[i]} = {x[i]} + half * {k2[i]}" for i in range(width)),
+        *stage("t + half", z, c, k3),
+        *(f"{z[i]} = {x[i]} + h * {k3[i]}" for i in range(width)),
+        *stage("t + h", z, e, k4),
+        *(f"{x[i]} = {x[i]} + sixth * ({k1[i]} + 2.0 * {k2[i]} + 2.0 * {k3[i]} + {k4[i]})"
+          for i in range(width)),
+        # nan or inf fails the comparison, so one test covers both checks
+        f"if not sqrt({total(f'{v} * {v}' for v in x)}) <= GUARD:",
+        "    raise DivergedError((i + 1) * h)",
+        f"states.append({unpack(x)})",
+    ]
+    source = "\n".join([
+        "def rhs(t, z, zd):",
+        f"    {unpack(z)} = z.tolist()",
+        f"    {unpack(c)} = zd.tolist()",
+        *(f"    {line}" for line in stage("t", z, c, k1)),
+        f"    return {unpack(k1)}",
+        "def block(start, stop, x, past, mids, h):",
+        "    half = 0.5 * h",
+        "    sixth = h / 6.0",
+        f"    {unpack(x)} = x",
+        "    states, slopes = [], []",
+        f"    for i, {unpack(d)}, {unpack(e)}, {unpack(c)} in "
+        "zip(range(start, stop), past, past[1:], mids):",
+        *(f"        {line}" for line in step),
+        "    return states, slopes",
+        "def control(columns):",
+        f"    {unpack(z)} = columns",
+        f"    return {total(products(k_bound, z))}",
+        "",
+    ])
+    exec(compile(source, "<closed loop>", "exec"), namespace)
+    rhs = namespace["rhs"]
+    rhs.block, rhs.control = namespace["block"], namespace["control"]
+    return rhs
+
+
 def run_scenario(sys: SystemSpec, gains: GainSet, scenario: Scenario, phi, phi_hat=None,
                  h: float = 1e-3, horizon: float = 10.0,
                  u_ext: Callable[[float], float] | None = None) -> Trajectory:
@@ -349,24 +478,14 @@ def run_scenario(sys: SystemSpec, gains: GainSet, scenario: Scenario, phi, phi_h
     else:
         stacked_phi = plant_phi
 
-    count = len(f_blocks)  # f acts on a prefix of z: the plant, or the plant and the observer
-
-    def rhs(t, z, zd):
-        u = float(k.dot(z))
-        dz = M.dot(z)
-        if external is not None:
-            v = float(external(t))
-            u += v
-            dz += b * v
-        dz[:count * n] += f.blocks(z, zd, u, count)
-        return dz
-
-    t, states = integrate(rhs, stacked_phi, sys.tau, h, horizon)
+    loop = _compile_loop(M, b, k, n, len(f_blocks), f.point, external)
+    t, states = integrate(loop, stacked_phi, sys.tau, h, horizon)
     x, xhat = states[:, :n], (states[:, n:] if scenario.has_observer else None)
 
     u = np.zeros(len(t))
     live = t >= 0.0
-    u[live] = states[live] @ k
+    with np.errstate(all="ignore"):  # the last node's u is never a stage's; it may overflow
+        u[live] = loop.control(states[live].T)
     if external is not None:
         u[live] += [float(external(ti)) for ti in t[live]]
 

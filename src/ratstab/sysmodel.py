@@ -35,9 +35,10 @@ class Nonlinearity:
     from a plain Python callable. Either way f has one scalar core,
     :attr:`point`: ``point(xs, xds, u)`` takes two lists of n Python
     floats and a float and returns n floats. The components compile here
-    once into that core and once into one column function, which
-    :meth:`rows` calls; a callable ``fn`` is the core itself, so it must
-    follow this contract, and :meth:`rows` calls it row by row.
+    once into that core, and once into one column function on the first
+    :meth:`rows` call, the only one that needs it; a callable ``fn`` is
+    the core itself, so it must follow this contract, and :meth:`rows`
+    calls it row by row.
     Construction validates the triangular dependency structure, that f
     returns n values, and that the origin is an equilibrium for a grid of
     input values. Call it on one point; :meth:`rows` evaluates many points,
@@ -50,6 +51,7 @@ class Nonlinearity:
         self.n = int(n)
         self.name = name
         self.components = list(components) if components is not None else None
+        self._columns = None
         if self.components is not None:
             if len(self.components) != self.n:
                 raise ConfigError(
@@ -57,7 +59,6 @@ class Nonlinearity:
                 )
             self._check_triangular_structure()
             self.point = exprlang.compile_vector(self.components, ("x", "xd", "u"))
-            self._columns = exprlang.compile_vector(self.components, ("x", "xd", "u"), columns=True)
         else:
             self.point = fn
         self._check_zero_at_origin()
@@ -94,6 +95,8 @@ class Nonlinearity:
         if self.components is None:
             values = [self.point(x, xd, u) for x, xd, u in zip(X.tolist(), XD.tolist(), U.tolist())]
             return np.array(values, dtype=float).reshape(len(U), self.n)
+        if self._columns is None:
+            self._columns = exprlang.compile_vector(self.components, ("x", "xd", "u"), columns=True)
         columns = np.concatenate([X.T, XD.T])  # one contiguous row per variable
         out = np.empty((len(U), self.n))
         with np.errstate(all="ignore"):

@@ -1,11 +1,17 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import ratstab as rs
+from ratstab import ddesim
 from ratstab.ddesim import DIVERGENCE_GUARD, HistoryBuffer, _closed_loop
 from ratstab.errors import ConfigError, ContractViolation, DivergedError
 
@@ -282,13 +288,28 @@ def _stepwise_integrate(rhs, phi, tau, h, horizon):
     return buffer.states.copy()
 
 
+def _spelled_dot(M, z):
+    """M z, or k z for a 1-D k, as sums that start from 0.0 and add the
+    products of the nonzero entries in index order: the sums the generated
+    closed loop spells, which no BLAS kernel reorders. (Python's ``sum``
+    compensates from 3.12 on, so the loop is written out.)"""
+    sums = []
+    for row in np.atleast_2d(M).tolist():
+        total = 0.0
+        for a, v in zip(row, z.tolist()):
+            if a != 0.0:
+                total += a * v
+        sums.append(total)
+    return sums[0] if np.ndim(M) == 1 else np.array(sums)
+
+
 def _matmul_rhs(sys_spec, gains, scenario):
-    # the closed-loop right-hand side written with the @ operator
+    # the closed-loop right-hand side written with numpy rows and the spelled sums
     M, _, k, f_blocks = _closed_loop(scenario, gains)
 
     def rhs(t, z, zd):
-        u = float(k @ z)
-        dz = M @ z
+        u = _spelled_dot(k, z)
+        dz = _spelled_dot(M, z)
         for block in f_blocks:
             dz[block] += sys_spec.f(z[block], zd[block], u)
         return dz
@@ -331,8 +352,8 @@ def test_run_scenario_matches_stepwise_loop(kind, scenario, u_ext):
     M, b, k, f_blocks = _closed_loop(scenario, gains)
 
     def rhs(t, z, zd):
-        u = float(k @ z)
-        dz = M @ z
+        u = _spelled_dot(k, z)
+        dz = _spelled_dot(M, z)
         if b is not None and u_ext is not None:
             v = float(u_ext(t))
             u += v
@@ -348,6 +369,92 @@ def test_run_scenario_matches_stepwise_loop(kind, scenario, u_ext):
                            x0, xhat0, h=0.01, horizon=1.0, u_ext=u_ext)
     states = np.hstack([traj.x, traj.xhat]) if scenario.has_observer else traj.x
     assert np.array_equal(states, reference)
+
+
+_F3_GAINS = dict(L=[-3.0, -3.0, -1.0], K=[-1.0, -3.0, -3.0], theta=2.0)
+_F3_CASES = [pytest.param(s, None, id=s.value) for s in rs.Scenario] + [
+    pytest.param(rs.Scenario.OBSERVER, lambda t: math.sin(3.0 * t), id="observer-u_ext")]
+
+
+@pytest.mark.parametrize("kind", sorted(F3_KINDS))
+@pytest.mark.parametrize("scenario, u_ext", _F3_CASES)
+def test_generated_block_equals_the_loop_as_a_plain_rhs(kind, scenario, u_ext, monkeypatch):
+    # integrate runs the loop's generated block of steps; with the block hidden it
+    # calls the loop four times a step and sums the stages in numpy, to the same bits
+    sys_spec = rs.SystemSpec(n=3, tau=0.1, f=F3_KINDS[kind](), lipschitz_k=1.0)
+    args = (sys_spec, rs.GainSet(**_F3_GAINS), scenario, [0.8, -0.5, 0.3], [-0.4, 0.6, 0.1])
+    kwargs = dict(h=0.01, horizon=1.0, u_ext=u_ext)
+    generated = rs.run_scenario(*args, **kwargs)
+    integrate, loops = ddesim.integrate, []
+
+    def plain(rhs, *rest):
+        loops.append(rhs)
+        return integrate(lambda t, z, zd: rhs(t, z, zd), *rest)
+
+    monkeypatch.setattr(ddesim, "integrate", plain)
+    hidden = rs.run_scenario(*args, **kwargs)
+    assert callable(loops[0].block)
+    assert np.array_equal(generated.x, hidden.x)
+    assert np.array_equal(generated.u, hidden.u)
+    if scenario.has_observer:
+        assert np.array_equal(generated.xhat, hidden.xhat)
+
+
+def test_run_scenario_integrates_once_through_the_module_attribute(bench_system, bench_gains,
+                                                                   monkeypatch):
+    # a tracer that wraps ddesim.integrate reads h and horizon at positions 3 and 4
+    calls, integrate = [], ddesim.integrate
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(ddesim, "integrate", spy)
+    rs.run_scenario(bench_system, bench_gains, rs.Scenario.OBSERVER_BASED, BENCH_X0, BENCH_XHAT0,
+                    h=0.01, horizon=2.0)
+    assert len(calls) == 1
+    args, kwargs = calls[0]
+    assert kwargs == {} and len(args) == 5 and (args[3], args[4]) == (0.01, 2.0)
+
+
+_KERNEL_PROBE = """
+import contextlib, hashlib, math, os, sys
+import ratstab as rs
+from ratstab import cli
+with contextlib.redirect_stdout(open(os.devnull, "w")):
+    assert cli.main(["repro-paper", "--out", sys.argv[1]]) == 0
+f = rs.make_nonlinearity(["0.5*sin(x1) + 0.2*xd1*cos(u)", "tanh(x2*xd1) - 0.1*xd2",
+                          "0.3*sin(xd3)*tanh(x1) + 0.1*x3*xd2"], 3)
+sys_spec = rs.SystemSpec(n=3, tau=0.1, f=f, lipschitz_k=1.0)
+gains = rs.GainSet(L=[-3.0, -3.0, -1.0], K=[-1.0, -3.0, -3.0], theta=2.0)
+for scenario in rs.Scenario:
+    traj = rs.run_scenario(sys_spec, gains, scenario, [0.8, -0.5, 0.3], [-0.4, 0.6, 0.1],
+                           h=0.01, horizon=1.0, u_ext=lambda t: math.sin(3.0 * t))
+    parts = [traj.x, traj.u] + ([traj.xhat] if traj.xhat is not None else [])
+    print(scenario.value, hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest())
+"""
+
+
+def test_trajectories_are_the_same_under_every_blas_kernel(tmp_path):
+    # numpy's dot products sum in a kernel-specific order; the closed loop spells its sums,
+    # so the trajectory files and states must not change with OPENBLAS_CORETYPE
+    src = str(Path(rs.__file__).resolve().parents[1])
+    runs = {}
+    for kernel in (None, "Nehalem"):
+        paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        out = tmp_path / (kernel or "default")
+        done = subprocess.run([sys.executable, "-c", _KERNEL_PROBE, str(out)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        files = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                 for name in ("repro_trajectory.csv", "repro_trajectory.svg")}
+        runs[kernel] = (files, done.stdout.split())
+    assert len(runs[None][1]) == 2 * len(rs.Scenario)
+    assert runs[None] == runs["Nehalem"]
 
 
 @pytest.mark.parametrize("tau, h", [(1.0, 0.05), (0.02, 0.01)], ids=["m=20", "m=2"])

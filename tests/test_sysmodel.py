@@ -377,3 +377,27 @@ def test_rows_of_zero_registry_entry():
     out = f.rows(X, XD, np.linspace(-1.0, 1.0, 7))
     assert out.shape == (7, 4) and out.dtype == float
     assert np.array_equal(out, np.zeros((7, 4)))
+
+
+def test_column_function_compiles_on_the_first_rows_call(bench_gains, monkeypatch):
+    texts = ["0.5*sin(x1) + 0.2*xd1*cos(u)", "tanh(x2*xd1) - 0.1*xd2^2"]
+    compiled = []
+    compile_vector = el.compile_vector
+
+    def counted(exprs, params, columns=False):
+        compiled.append(columns)
+        return compile_vector(exprs, params, columns=columns)
+
+    monkeypatch.setattr(el, "compile_vector", counted)
+    f = rs.make_nonlinearity(texts, 2)
+    sys_spec = rs.SystemSpec(n=2, tau=0.1, f=f, lipschitz_k=1.0)
+    rs.run_scenario(sys_spec, bench_gains, rs.Scenario.OBSERVER_BASED, [0.5, -0.5], [0.0, 0.0],
+                    h=0.01, horizon=0.5)
+    assert compiled == [False]  # building f and simulating compile only the scalar core
+
+    X, XD = np.random.default_rng(9).uniform(-3.0, 3.0, (2, 40, 2))
+    U = np.linspace(-2.0, 2.0, 40)
+    eager = compile_vector(f.components, ("x", "xd", "u"), columns=True)
+    for _ in range(2):
+        assert np.array_equal(f.rows(X, XD, U), np.column_stack(eager(X.T, XD.T, U)))
+    assert compiled == [False, True]
