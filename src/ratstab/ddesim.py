@@ -21,10 +21,12 @@ observer has no B K_theta terms and takes u = u_ext(t) through b. A
 single right-hand side serves all of them: u = k z (+ u_ext),
 dz = M z (+ b u_ext), then f(z_block, z_block(t - tau), u) on each block.
 Each run generates it once from the table as straight-line Python on
-floats, together with the RK4 steps of a whole Hermite block, which
-integrate then runs in place of its own loop. Its sums add the nonzero
-products in index order, so the trajectory does not depend on the BLAS
-kernel.
+floats. Its sums add the nonzero products in index order, so the
+trajectory does not depend on the BLAS kernel.
+
+integrate takes the RK4 steps of each Hermite block in one generated
+function. One template writes it for every right-hand side: a stage is
+either the closed loop's straight-line code or a call of a plain rhs.
 """
 
 from __future__ import annotations
@@ -181,16 +183,83 @@ def _grid_layout(tau: float, h: float, horizon: float) -> tuple[int, int]:
     return m, steps
 
 
+def _unpack(names: list) -> str:
+    return f"[{', '.join(names)}]"
+
+
+def _total(terms) -> str:
+    return " + ".join(["0.0", *terms])
+
+
+def _rk4_block(width: int, stage: Callable, bound: dict) -> Callable:
+    """Generated ``block(start, stop, x, past, mids, h)``: integrate's RK4 steps start..stop-1.
+
+    It starts from the state x, reads the delayed nodes start..stop from
+    ``past`` and the delayed midpoints from ``mids``, and returns the new
+    states and the slopes at the steps' first nodes, as lists of rows of
+    floats. Its guard raises DivergedError as integrate documents.
+    ``stage(time, z, zd, out)`` spells a stage: the lines, run on the values
+    ``bound``, that set the floats ``out`` to the right-hand side at (time, z, zd).
+    """
+    x, z, d, e, c, k1, k2, k3, k4 = ([f"{p}{i}" for i in range(width)] for p in "xzdecpqrs")
+    step = [
+        "t = i * h",
+        *stage("t", x, d, k1),
+        f"slopes.append({_unpack(k1)})",
+        *(f"{z[i]} = {x[i]} + half * {k1[i]}" for i in range(width)),
+        *stage("t + half", z, c, k2),
+        *(f"{z[i]} = {x[i]} + half * {k2[i]}" for i in range(width)),
+        *stage("t + half", z, c, k3),
+        *(f"{z[i]} = {x[i]} + h * {k3[i]}" for i in range(width)),
+        *stage("t + h", z, e, k4),
+        *(f"{x[i]} = {x[i]} + sixth * ({k1[i]} + 2.0 * {k2[i]} + 2.0 * {k3[i]} + {k4[i]})"
+          for i in range(width)),
+        # nan or inf fails the comparison, so one test covers both checks
+        f"if not sqrt({_total(f'{v} * {v}' for v in x)}) <= GUARD:",
+        "    raise DivergedError((i + 1) * h)",
+        f"states.append({_unpack(x)})",
+    ]
+    source = "\n".join([
+        "def block(start, stop, x, past, mids, h):",
+        "    half = 0.5 * h",
+        "    sixth = h / 6.0",
+        f"    {_unpack(x)} = x",
+        "    states, slopes = [], []",
+        f"    for i, {_unpack(d)}, {_unpack(e)}, {_unpack(c)} in "
+        "zip(range(start, stop), past, past[1:], mids):",
+        *(f"        {line}" for line in step),
+        "    return states, slopes",
+    ])
+    namespace = {"__builtins__": {}, "range": range, "zip": zip, "sqrt": math.sqrt,
+                 "DivergedError": DivergedError, "GUARD": DIVERGENCE_GUARD, **bound}
+    exec(compile(source, "<rk4 block>", "exec"), namespace)
+    return namespace["block"]
+
+
+def _called_block(rhs: Callable, width: int) -> Callable:
+    """The RK4 block of a plain ``rhs(t, x, xd)``: each stage calls it on fresh
+    1-D float arrays and takes np.asarray(..., dtype=float) of its result,
+    broadcast to the state's width."""
+    def stage(time: str, z: list, zd: list, out: list) -> list:
+        return [f"{_unpack(out)} = slope(rhs({time}, array({_unpack(z)}), array({_unpack(zd)})))"]
+
+    def slope(value) -> list:
+        value = np.asarray(value, dtype=float)
+        return (value if value.shape == (width,) else np.broadcast_to(value, (width,))).tolist()
+
+    return _rk4_block(width, stage, {"rhs": rhs, "array": np.array, "slope": slope})
+
+
 def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
     """Integrate x'(t) = rhs(t, x(t), x(t - tau)) from the history phi.
 
     phi is a constant vector or a callable on [-tau, 0]; its value at 0 is
     the initial state. Returns (t, states) on the uniform grid covering
     [-tau, horizon], history included. Raises DivergedError at the first
-    node whose state is non-finite or larger than the guard. When rhs
-    carries a ``block`` (a generated closed loop, see :func:`_compile_loop`),
-    that function runs the steps of each Hermite block; otherwise a numpy
-    loop calls rhs four times per step.
+    node whose state is non-finite or larger than the guard. A generated
+    function (see :func:`_rk4_block`) takes the steps of each Hermite block:
+    the ``block`` that rhs carries when it is a generated closed loop (see
+    :func:`_compile_loop`), else one that calls rhs four times per step.
     """
     m, steps = _grid_layout(tau, h, horizon)
     history, width = _as_history_fn(phi)
@@ -228,30 +297,14 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
         # the right-hand side's. From step m on, step i sets the slope of node
         # m + i, so when a block starts the slopes of its m - 1 segments are known.
         edges = [0, *range(m, steps, m - 1), steps]
-        half = 0.5 * h
-        sixth = h / 6.0
-        block = getattr(rhs, "block", None)
+        block = getattr(rhs, "block", None) or _called_block(rhs, width)
         for start, stop in zip(edges, edges[1:]):
             mids = _cubic_hermite(states[start:stop], derivs[start:stop],
                                   states[start + 1:stop + 1], derivs[start + 1:stop + 1], h, 0.5)
-            if block is not None:
-                rows, slopes = block(start, stop, states[m + start].tolist(),
-                                     states[start:stop + 1].tolist(), mids.tolist(), h)
-                states[m + start + 1:m + stop + 1] = rows
-                derivs[m + start:m + stop] = slopes
-                continue
-            for i, x_mid_delayed in zip(range(start, stop), mids):
-                node = m + i
-                t = i * h
-                x = states[node]
-                k1 = derivs[node] = np.asarray(rhs(t, x, states[i]), dtype=float)
-                k2 = np.asarray(rhs(t + half, x + half * k1, x_mid_delayed), dtype=float)
-                k3 = np.asarray(rhs(t + half, x + half * k2, x_mid_delayed), dtype=float)
-                k4 = np.asarray(rhs(t + h, x + h * k3, states[i + 1]), dtype=float)
-                advanced = states[node + 1] = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                # nan or inf fails the comparison, so one reduction covers both checks
-                if not math.sqrt(advanced.dot(advanced)) <= DIVERGENCE_GUARD:
-                    raise DivergedError((i + 1) * h)
+            rows, slopes = block(start, stop, states[m + start].tolist(),
+                                 states[start:stop + 1].tolist(), mids.tolist(), h)
+            states[m + start + 1:m + stop + 1] = rows
+            derivs[m + start:m + stop] = slopes
 
     t = np.arange(-m, steps + 1, dtype=float) * h
     return t, states
@@ -346,12 +399,8 @@ def _compile_loop(M, b, k, n: int, count: int, point: Callable, external):
     right-hand side for :func:`integrate` on 1-D arrays, which carries two
     more functions generated from the same stage code:
 
-    - ``rhs.block(start, stop, x, past, mids, h)`` runs integrate's RK4
-      steps start..stop-1 on floats. It starts from the state x, reads the
-      delayed nodes start..stop from ``past`` and the delayed midpoints from
-      ``mids``, and returns the new states and the slopes at the steps'
-      first nodes, as lists of rows. Its divergence guard raises as
-      integrate's does;
+    - ``rhs.block``, integrate's RK4 steps of a Hermite block (see
+      :func:`_rk4_block`), with each stage written out inline;
     - ``rhs.control(columns)`` is u = k z on the columns of the states.
 
     u, each row of M z and b v are sums that start from 0.0 and add the
@@ -361,9 +410,7 @@ def _compile_loop(M, b, k, n: int, count: int, point: Callable, external):
     and nan gains compile too.
     """
     width = len(k)
-    namespace = {"__builtins__": {}, "float": float, "range": range, "zip": zip,
-                 "sqrt": math.sqrt, "point": point, "external": external,
-                 "DivergedError": DivergedError, "GUARD": DIVERGENCE_GUARD}
+    namespace = {"__builtins__": {}, "float": float, "point": point, "external": external}
 
     def bind(value: float) -> str:
         name = f"w{len(namespace)}"
@@ -377,78 +424,42 @@ def _compile_loop(M, b, k, n: int, count: int, point: Callable, external):
     def products(bound: list, values: list) -> list:
         return [f"{w} * {v}" for w, v in zip(bound, values) if w]
 
-    def total(terms) -> str:
-        return " + ".join(["0.0", *terms])
-
-    def unpack(names: list) -> str:
-        return f"[{', '.join(names)}]"
-
     M_bound, k_bound = [weights(row) for row in M], weights(k)
     b_bound = weights(b) if external is not None else [None] * width
     fs = [f"f{i}" for i in range(count * n)]
 
     def stage(time: str, z: list, zd: list, out: list) -> list:
         """Lines that set ``out`` to the right-hand side at (time, z, zd)."""
-        lines = [f"u = {total(products(k_bound, z))}"]
+        lines = [f"u = {_total(products(k_bound, z))}"]
         if external is not None:
             lines += [f"v = float(external({time}))", "u = u + v"]
         for lo in range(0, count * n, n):
-            lines.append(f"{unpack(fs[lo:lo + n])} = "
-                         f"point({unpack(z[lo:lo + n])}, {unpack(zd[lo:lo + n])}, u)")
+            lines.append(f"{_unpack(fs[lo:lo + n])} = "
+                         f"point({_unpack(z[lo:lo + n])}, {_unpack(zd[lo:lo + n])}, u)")
         for i in range(width):
             terms = products(M_bound[i], z)
             if b_bound[i]:
                 terms.append(f"{b_bound[i]} * v")
             if i < len(fs):
                 terms.append(fs[i])
-            lines.append(f"{out[i]} = {total(terms)}")
+            lines.append(f"{out[i]} = {_total(terms)}")
         return lines
 
-    def row(prefix: str) -> list:
-        return [f"{prefix}{i}" for i in range(width)]
-
-    x, z, d, e, c = row("x"), row("z"), row("d"), row("e"), row("c")
-    k1, k2, k3, k4 = row("p"), row("q"), row("r"), row("s")
-    step = [
-        "t = i * h",
-        *stage("t", x, d, k1),
-        f"slopes.append({unpack(k1)})",
-        *(f"{z[i]} = {x[i]} + half * {k1[i]}" for i in range(width)),
-        *stage("t + half", z, c, k2),
-        *(f"{z[i]} = {x[i]} + half * {k2[i]}" for i in range(width)),
-        *stage("t + half", z, c, k3),
-        *(f"{z[i]} = {x[i]} + h * {k3[i]}" for i in range(width)),
-        *stage("t + h", z, e, k4),
-        *(f"{x[i]} = {x[i]} + sixth * ({k1[i]} + 2.0 * {k2[i]} + 2.0 * {k3[i]} + {k4[i]})"
-          for i in range(width)),
-        # nan or inf fails the comparison, so one test covers both checks
-        f"if not sqrt({total(f'{v} * {v}' for v in x)}) <= GUARD:",
-        "    raise DivergedError((i + 1) * h)",
-        f"states.append({unpack(x)})",
-    ]
+    z, zd, dz = ([f"{prefix}{i}" for i in range(width)] for prefix in "zcp")
     source = "\n".join([
         "def rhs(t, z, zd):",
-        f"    {unpack(z)} = z.tolist()",
-        f"    {unpack(c)} = zd.tolist()",
-        *(f"    {line}" for line in stage("t", z, c, k1)),
-        f"    return {unpack(k1)}",
-        "def block(start, stop, x, past, mids, h):",
-        "    half = 0.5 * h",
-        "    sixth = h / 6.0",
-        f"    {unpack(x)} = x",
-        "    states, slopes = [], []",
-        f"    for i, {unpack(d)}, {unpack(e)}, {unpack(c)} in "
-        "zip(range(start, stop), past, past[1:], mids):",
-        *(f"        {line}" for line in step),
-        "    return states, slopes",
+        f"    {_unpack(z)} = z.tolist()",
+        f"    {_unpack(zd)} = zd.tolist()",
+        *(f"    {line}" for line in stage("t", z, zd, dz)),
+        f"    return {_unpack(dz)}",
         "def control(columns):",
-        f"    {unpack(z)} = columns",
-        f"    return {total(products(k_bound, z))}",
+        f"    {_unpack(z)} = columns",
+        f"    return {_total(products(k_bound, z))}",
         "",
     ])
     exec(compile(source, "<closed loop>", "exec"), namespace)
     rhs = namespace["rhs"]
-    rhs.block, rhs.control = namespace["block"], namespace["control"]
+    rhs.block, rhs.control = _rk4_block(width, stage, namespace), namespace["control"]
     return rhs
 
 

@@ -492,6 +492,30 @@ def test_integrate_calls_the_right_hand_side_four_times_per_step():
     assert len(calls) == 4 * 50
 
 
+_SLOPE_SHAPES = {
+    "list": lambda slope: slope.tolist(),
+    "tuple": lambda slope: tuple(slope.tolist()),
+    "length-1": lambda slope: slope[:1].copy(),
+    "scalar": lambda slope: float(slope[0]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SLOPE_SHAPES))
+def test_plain_rhs_gets_float_vectors_and_may_return_any_broadcastable_slope(shape):
+    # a plain right-hand side receives 1-D float64 arrays of the state's width, and
+    # its result counts as np.asarray(..., dtype=float) broadcast to that width
+    phi = lambda s: np.array([math.cos(3.0 * s) + 2.0 * s, 1.0 - s * s])
+
+    def rhs(t, x, xd):
+        for v in (x, xd):
+            assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (2,)
+        return _SLOPE_SHAPES[shape](-2.0 * xd[::-1] + np.sin(x) * math.cos(t))
+
+    reference = _stepwise_integrate(rhs, phi, 0.25, 0.05, 1.5)
+    _, states = rs.integrate(rhs, phi, tau=0.25, h=0.05, horizon=1.5)
+    assert np.array_equal(states, reference)
+
+
 def test_block_midpoints_equal_single_segments_across_break():
     m, width = 6, 2
     rng = np.random.default_rng(7)
