@@ -160,13 +160,15 @@ def select_alpha_observer_based(theta: float, a: float, c: float, norm_s: float,
     """Weight for the composite functional alpha*V + W in the observer-based loop.
 
     Returns (alpha, threshold) where threshold = 2 theta^2 |S|^2 |K|^2 / (a c)
-    and alpha exceeds it by the requested relative margin.
+    and alpha exceeds it by the requested relative margin. a and c grow like
+    theta / 2, so the threshold is formed from theta / a and theta / c, which
+    stay finite where theta^2 overflows.
     """
     if not margin > 0.0:
         raise ConfigError(f"margin must be positive, got {margin!r}")
     if a <= 0.0 or c <= 0.0:
         raise ConditionsNotSatisfiedError(f"margins must be positive, got a={a:g}, c={c:g}")
-    threshold = 2.0 * theta * theta * norm_s * norm_s * norm_k * norm_k / (a * c)
+    threshold = 2.0 * (theta / a) * (theta / c) * (norm_s * norm_k) ** 2
     alpha = margin if threshold == 0.0 else (1.0 + margin) * threshold
     return alpha, threshold
 

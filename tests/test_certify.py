@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -229,6 +230,16 @@ def test_alpha_observer_based():
         rs.select_alpha_observer_based(8.0, -0.1, C_REF, NORM_S_REF, norm_k)
     with pytest.raises(ConditionsNotSatisfiedError):
         rs.select_alpha_observer_based(8.0, A_REF, 0.0, NORM_S_REF, norm_k)
+
+
+def test_alpha_observer_based_stays_finite_at_huge_theta():
+    # a and c grow like theta / 2, so the threshold tends to 8 |S|^2 |K|^2, where
+    # theta^2 alone overflows
+    gains = rs.GainSet(L=[-14.0, -28.0], K=[-30.0, -30.0], theta=1e200)
+    result = rs.certify_gains(gains, tau=1.0, k=0.5, advisory=0.0)
+    json.dumps(result.to_dict(), allow_nan=False)
+    _, threshold = result.alpha_observer_based
+    assert threshold == pytest.approx(8.0 * result.cert_s.spectral_norm ** 2 * 1800.0, rel=1e-12)
 
 
 def test_alpha_output_feedback():
