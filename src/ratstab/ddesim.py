@@ -239,7 +239,7 @@ def _rk4_block(width: int, stage: Callable, bound: dict) -> Callable:
 def _called_block(rhs: Callable, width: int) -> Callable:
     """The RK4 block of a plain ``rhs(t, x, xd)``: each stage calls it on fresh
     1-D float arrays and takes np.asarray(..., dtype=float) of its result,
-    broadcast to the state's width."""
+    broadcast to the state's width (only when needed: broadcast_to is slow)."""
     def stage(time: str, z: list, zd: list, out: list) -> list:
         return [f"{_unpack(out)} = slope(rhs({time}, array({_unpack(z)}), array({_unpack(zd)})))"]
 

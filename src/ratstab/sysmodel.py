@@ -41,8 +41,7 @@ class Nonlinearity:
     calls it row by row.
     Construction validates the triangular dependency structure, that f
     returns n values, and that the origin is an equilibrium for a grid of
-    input values. Call it on one point; :meth:`rows` evaluates many points,
-    and :meth:`blocks` the n-blocks of one stacked state.
+    input values. Call it on one point; :meth:`rows` evaluates many points.
     """
 
     def __init__(self, n: int, components=None, fn: Callable | None = None, name: str = ""):
@@ -69,19 +68,6 @@ class Nonlinearity:
         xs = np.asarray(x, dtype=float).tolist()
         xds = np.asarray(xd, dtype=float).tolist()
         return np.array(self.point(xs, xds, float(u)), dtype=float)
-
-    def blocks(self, z: np.ndarray, zd: np.ndarray, u: float, count: int) -> list[float]:
-        """f on each of the first ``count`` n-blocks of the 1-D arrays z and zd, at input u.
-
-        Returns the ``count * n`` values as one list; block b of it holds
-        exactly ``self(z[b*n:(b+1)*n], zd[b*n:(b+1)*n], u)``.
-        """
-        n = self.n
-        zs, zds = z.tolist(), zd.tolist()
-        out = []
-        for lo in range(0, count * n, n):
-            out += self.point(zs[lo:lo + n], zds[lo:lo + n], u)
-        return out
 
     def rows(self, X, XD, U) -> np.ndarray:
         """f on each row: X and XD of shape (B, n) and U of shape (B,) give (B, n).

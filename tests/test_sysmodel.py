@@ -297,23 +297,6 @@ def _list_contract_fn(x, xd, u):
     return [math.sin(x[0]) * u, math.tanh(xd[0] * x[1]), x[2] * xd[1] - 0.5 * math.sin(xd[2])]
 
 
-@pytest.mark.parametrize("make", [
-    lambda: rs.make_nonlinearity("paper_example", 3),
-    lambda: rs.make_nonlinearity(["sin(x1)*u", "tanh(xd1*x2)", "x3*xd2 - 0.5*sin(xd3)"], 3),
-    lambda: Nonlinearity(3, fn=_list_contract_fn, name="lists"),
-], ids=["registry", "expression", "opaque"])
-def test_blocks_match_call(make):
-    f = make()
-    rng = np.random.default_rng(11)
-    n = f.n
-    for count in (1, 2):
-        for _ in range(50):
-            z, zd = rng.uniform(-5, 5, (2, 2 * n))  # the blocks past count are not read
-            u = float(rng.uniform(-3, 3))
-            want = [f(z[b * n:(b + 1) * n], zd[b * n:(b + 1) * n], u) for b in range(count)]
-            assert np.array_equal(np.array(f.blocks(z, zd, u, count)), np.concatenate(want))
-
-
 def test_rows_match_call_on_lists():
     f = Nonlinearity(3, fn=_list_contract_fn, name="lists")
     rng = np.random.default_rng(13)
