@@ -182,6 +182,7 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _VIEW_W, _VIEW_H = 800, 500
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 20, 45
+_SVG_CHUNK = 4096  # polyline points formatted per write
 
 
 def emit_plot(curves, path, log_y: bool = False, title: str = "") -> None:
@@ -189,7 +190,9 @@ def emit_plot(curves, path, log_y: bool = False, title: str = "") -> None:
 
     ``curves`` is a sequence of (label, t, y) triples sharing one axis
     system; log_y switches the vertical axis to log10 and then requires
-    strictly positive data. Output is byte-deterministic.
+    strictly positive data. Output is byte-deterministic. Every input check
+    and pixel comes before the file is opened; the points are then written
+    _SVG_CHUNK at a time.
     """
     curves = [(str(label), np.asarray(t, float), np.asarray(y, float)) for label, t, y in curves]
     if not curves or any(len(t) == 0 or t.shape != y.shape for _, t, y in curves):
@@ -254,18 +257,23 @@ def emit_plot(curves, path, log_y: bool = False, title: str = "") -> None:
             f'<text x="{_MARGIN_L - 8}" y="{py + 4:.2f}" font-family="monospace" '
             f'font-size="11" text-anchor="end">{label}</text>'
         )
-    for idx, (label, t, y) in enumerate(curves):
-        color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join("%.2f,%.2f" % point for point in zip(*to_px(t, y)))
-        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(
-            f'<text x="{_MARGIN_L + plot_w - 8}" y="{_MARGIN_T + 16 + 14 * idx}" '
-            f'font-family="monospace" font-size="11" text-anchor="end" '
-            f'fill="{color}">{label}</text>'
-        )
-    parts.append("</svg>")
+    # every pixel is computed before the file opens, so bad data leaves no file
+    curves = [(label, *to_px(t, y)) for label, t, y in curves]
     try:
         with open(path, "w", newline="\n") as handle:
             handle.write("\n".join(parts) + "\n")
+            for idx, (label, px, py) in enumerate(curves):
+                color = _PALETTE[idx % len(_PALETTE)]
+                handle.write('<polyline points="')
+                for lo in range(0, len(px), _SVG_CHUNK):
+                    chunk = zip(px[lo:lo + _SVG_CHUNK].tolist(), py[lo:lo + _SVG_CHUNK].tolist())
+                    handle.write((" " if lo else "") + " ".join("%.2f,%.2f" % point for point in chunk))
+                handle.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
+                handle.write(
+                    f'<text x="{_MARGIN_L + plot_w - 8}" y="{_MARGIN_T + 16 + 14 * idx}" '
+                    f'font-family="monospace" font-size="11" text-anchor="end" '
+                    f'fill="{color}">{label}</text>\n'
+                )
+            handle.write("</svg>\n")
     except OSError as exc:
         raise OutputIOError(f"cannot write SVG {path}: {exc}") from exc

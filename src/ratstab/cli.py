@@ -220,6 +220,12 @@ def _output_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
+def _margin_text(value: float, sign: str = "") -> str:
+    """A margin to six decimals; from 1e15 on in exponent form, where fixed
+    point would print every digit of a huge margin."""
+    return format(value, f"{sign}.6{'e' if abs(value) >= 1e15 else 'f'}")
+
+
 def _matrix_text(M: np.ndarray) -> str:
     return "[" + ", ".join("[" + ", ".join(f"{v:.8f}" for v in row) + "]" for row in M) + "]"
 
@@ -236,7 +242,8 @@ def _render_certification(sys_spec: SystemSpec, result: certify.Certification, o
     print("    (region-dependent; the margins below use the declared k)")
     payload = result.to_dict()
     for name, value in payload["margins"].items():
-        print(f"  margin {name:>15} = {value: .6f}  {'PASS' if payload['pass'][name] else 'FAIL'}")
+        print(f"  margin {name:>15} = {_margin_text(value, ' ')}  "
+              f"{'PASS' if payload['pass'][name] else 'FAIL'}")
     if result.alpha_observer_based is not None:
         alpha, threshold = result.alpha_observer_based
         print(f"  composite weight (observer-based): alpha = {alpha:.6g} > threshold {threshold:.6g}")
@@ -277,8 +284,8 @@ def cmd_synthesize(args) -> int:
                                         sys_spec.lipschitz_k, args.theta_max, args.tol)
     report = certify.build_report(theta_star, sys_spec.tau, norm_p, norm_s, sys_spec.lipschitz_k)
     print(f"  smallest feasible theta = {theta_star:.6f}")
-    print(f"  margins there: a = {report.a:.6f}  b = {report.b:.6f}  "
-          f"c = {report.c:.6f}  d = {report.d:.6f}")
+    print(f"  margins there: a = {_margin_text(report.a)}  b = {_margin_text(report.b)}  "
+          f"c = {_margin_text(report.c)}  d = {_margin_text(report.d)}")
     return 0
 
 

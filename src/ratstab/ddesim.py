@@ -26,7 +26,11 @@ trajectory does not depend on the BLAS kernel.
 
 integrate takes the RK4 steps of each Hermite block in one generated
 function. One template writes it for every right-hand side: a stage is
-either the closed loop's straight-line code or a call of a plain rhs.
+either the closed loop's straight-line code or a call of a plain rhs. The
+block's midpoints come from one Hermite call; its steps then go to the
+generated function in chunks of at most _BLOCK_CHUNK, so the Python-float
+rows in flight do not grow with the delay. Only the grid arrays of states
+and node slopes grow with the horizon.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ from .matops import build_companion
 from .sysmodel import GainSet, SystemSpec
 
 DIVERGENCE_GUARD = 1e12
+
+# most RK4 steps integrate passes to a generated block in one call
+_BLOCK_CHUNK = 256
 
 # step used to differentiate the initial history function (it is a callable,
 # so the step is independent of the grid)
@@ -257,9 +264,10 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
     the initial state. Returns (t, states) on the uniform grid covering
     [-tau, horizon], history included. Raises DivergedError at the first
     node whose state is non-finite or larger than the guard. A generated
-    function (see :func:`_rk4_block`) takes the steps of each Hermite block:
-    the ``block`` that rhs carries when it is a generated closed loop (see
-    :func:`_compile_loop`), else one that calls rhs four times per step.
+    function (see :func:`_rk4_block`) takes the steps of each Hermite block,
+    at most _BLOCK_CHUNK steps a call: the ``block`` that rhs carries when it
+    is a generated closed loop (see :func:`_compile_loop`), else one that
+    calls rhs four times per step.
     """
     m, steps = _grid_layout(tau, h, horizon)
     history, width = _as_history_fn(phi)
@@ -301,10 +309,12 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
         for start, stop in zip(edges, edges[1:]):
             mids = _cubic_hermite(states[start:stop], derivs[start:stop],
                                   states[start + 1:stop + 1], derivs[start + 1:stop + 1], h, 0.5)
-            rows, slopes = block(start, stop, states[m + start].tolist(),
-                                 states[start:stop + 1].tolist(), mids.tolist(), h)
-            states[m + start + 1:m + stop + 1] = rows
-            derivs[m + start:m + stop] = slopes
+            for lo in range(start, stop, _BLOCK_CHUNK):
+                hi = min(lo + _BLOCK_CHUNK, stop)
+                rows, slopes = block(lo, hi, states[m + lo].tolist(), states[lo:hi + 1].tolist(),
+                                     mids[lo - start:hi - start].tolist(), h)
+                states[m + lo + 1:m + hi + 1] = rows
+                derivs[m + lo:m + hi] = slopes
 
     t = np.arange(-m, steps + 1, dtype=float) * h
     return t, states

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,21 +256,51 @@ def _per_point_polylines(curves, log_y: bool) -> list[str]:
             for t, y in curves]
 
 
-@pytest.mark.parametrize("log_y", [False, True], ids=["linear", "log"])
-def test_plot_points_match_per_point_formatting(tmp_path, log_y):
-    t = np.linspace(-1.0, 10.0, 500)
+# 10,001 points span several of emit_plot's writes, the last one short
+@pytest.mark.parametrize("log_y, count", [
+    pytest.param(False, 500, id="linear"), pytest.param(True, 500, id="log"),
+    pytest.param(False, 10_001, id="linear-10001"), pytest.param(True, 10_001, id="log-10001")])
+def test_plot_points_match_per_point_formatting(tmp_path, log_y, count):
+    assert count == 500 or count > analyze._SVG_CHUNK
+    t = np.linspace(-1.0, 10.0, count)
     rng = np.random.default_rng(11)
     if log_y:
         curves = [("a", t, np.exp(-2.0 * t) * (1.5 + np.sin(5.0 * t))),
-                  ("b", t, rng.uniform(1e-9, 1e3, 500))]
+                  ("b", t, rng.uniform(1e-9, 1e3, count))]
     else:
         curves = [("a", t, 40.0 * np.sin(3.0 * t) * np.exp(-0.2 * t)),
-                  ("b", t, rng.normal(size=500))]
+                  ("b", t, rng.normal(size=count))]
     path = tmp_path / "plot.svg"
     analyze.emit_plot(curves, path, log_y=log_y)
     emitted = re.findall(r'<polyline points="([^"]*)"', path.read_text())
     assert emitted == _per_point_polylines(curves, log_y)
-    assert all(len(points.split(" ")) == 500 for points in emitted)
+    assert all(len(points.split(" ")) == count for points in emitted)
+
+
+@pytest.mark.parametrize("curves, log_y", [
+    pytest.param([], False, id="no-curve"),
+    pytest.param([("a", np.arange(3.0), np.arange(4.0))], False, id="mismatched"),
+    pytest.param([("a", np.arange(3.0), np.ones(3)), ("b", np.arange(3.0), np.zeros(3))], True,
+                 id="log-of-zero")])
+def test_plot_input_errors_leave_no_file(tmp_path, curves, log_y):
+    with pytest.raises(ContractViolation):
+        analyze.emit_plot(curves, tmp_path / "bad.svg", log_y=log_y)
+    assert not (tmp_path / "bad.svg").exists()
+
+
+def test_plot_memory_does_not_grow_with_the_formatted_points(tmp_path):
+    # two 100,001-point curves: their pixel arrays take 3.2 MB, while holding
+    # every formatted point at once peaks at 11 MB (tracemalloc)
+    t = np.linspace(0.0, 100.0, 100_001)
+    curves = [("a", t, np.exp(-0.05 * t) * np.sin(t)), ("b", t, np.cos(3.0 * t))]
+    tracemalloc.start()
+    try:
+        analyze.emit_plot(curves, tmp_path / "long.svg")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+    assert (tmp_path / "long.svg").read_text().count(",") == 2 * 100_001
 
 
 def test_plot_empty_series_rejected(tmp_path):

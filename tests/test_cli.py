@@ -51,6 +51,15 @@ def test_certify_failing_margin(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_certify_prints_short_margin_lines_at_a_huge_theta(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    assert cli.main(["certify", "--config", path, "--theta", "1e200"]) == 0
+    margins = [line for line in capsys.readouterr().out.splitlines() if "margin" in line]
+    assert len(margins) == 6  # the five margins and the note above them
+    assert all(len(line) < 80 for line in margins)
+    assert "  margin               a =  5.000000e+199  PASS" in margins
+
+
 def test_certify_non_hurwitz_gains(tmp_path, capsys):
     path = write_config(tmp_path, base_config(tmp_path / "out", **{"gains.K": [0.0, 0.0]}))
     assert cli.main(["certify", "--config", path]) == 2

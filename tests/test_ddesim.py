@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -329,6 +330,21 @@ def test_integrate_matches_stepwise_loop_on_benchmark(bench_system, bench_gains)
     assert np.array_equal(np.hstack([traj.x, traj.xhat]), reference)
 
 
+def test_run_scenario_memory_does_not_grow_with_the_delay(bench_gains):
+    # m = 3,000 steps a delay: t, x, xhat and u take 0.43 MB, while Python-float
+    # lists of whole Hermite blocks peak at 4.2 MB (tracemalloc)
+    system = rs.SystemSpec(n=2, tau=3.0, f=rs.make_nonlinearity("paper_example", 2), lipschitz_k=0.5)
+    tracemalloc.start()
+    try:
+        traj = rs.run_scenario(system, bench_gains, rs.Scenario.OBSERVER_BASED, BENCH_X0, BENCH_XHAT0,
+                               h=1e-3, horizon=6.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.history_len == 3_000 and len(traj.t) == 9_001
+    assert peak < 2e6
+
+
 def _opaque_f3(x, xd, u):
     return [0.5 * math.sin(x[0]) + 0.2 * xd[0] * math.cos(u), math.tanh(x[1] * xd[0]) - 0.1 * xd[1],
             0.3 * math.sin(xd[2]) * math.tanh(x[0]) + 0.1 * x[2] * xd[1]]
@@ -379,8 +395,8 @@ _F3_CASES = [pytest.param(s, None, id=s.value) for s in rs.Scenario] + [
 @pytest.mark.parametrize("kind", sorted(F3_KINDS))
 @pytest.mark.parametrize("scenario, u_ext", _F3_CASES)
 def test_generated_block_equals_the_loop_as_a_plain_rhs(kind, scenario, u_ext, monkeypatch):
-    # integrate runs the loop's generated block of steps; with the block hidden it
-    # calls the loop four times a step and sums the stages in numpy, to the same bits
+    # integrate runs the loop's generated block of steps, its stages inline; with the
+    # block hidden it generates one whose stages call the loop, to the same bits
     sys_spec = rs.SystemSpec(n=3, tau=0.1, f=F3_KINDS[kind](), lipschitz_k=1.0)
     args = (sys_spec, rs.GainSet(**_F3_GAINS), scenario, [0.8, -0.5, 0.3], [-0.4, 0.6, 0.1])
     kwargs = dict(h=0.01, horizon=1.0, u_ext=u_ext)
