@@ -1,16 +1,22 @@
 """Constant-delay DDE integration and closed-loop scenario wiring.
 
 The integrator is the method of steps with classical fixed-step RK4. The
-delay must be an integer multiple (>= 2) of the step so that every
+delay must be an integer multiple m >= 2 of the step so that every
 breakpoint lands on a grid node; delayed stage values at half steps come
-from cubic Hermite interpolation using stored node states and node
-derivatives, which keeps the scheme fourth order between breakpoints.
-Whole-step delayed lookups are node reads and therefore exact. The delayed
-midpoints of the m history segments come from one Hermite call before the
-first step. From step m on, since the delay spans m >= 2 steps, each step
-sets the slope that the midpoint m - 1 segments ahead needs, so one call
-gives the delayed midpoints of the next m - 1 steps. Each row depends only
-on its own segment, so the numbers are the same as one call per step.
+from cubic Hermite interpolation on stored node states and node slopes,
+which keeps the scheme fourth order between breakpoints. Whole-step
+delayed lookups are node reads and therefore exact.
+
+The grid is one HistoryBuffer, with its break at node m (t = 0). There the
+history's slope phi'(0) meets the loop's own, which step 0 stores at node
+m; the buffer keeps phi'(0) aside and serves it to the segment that ends
+at t = 0, the one place the break is handled. Step i sets the slope of
+node m + i, so a chunk of at most m - 1 steps reads only slopes set
+before it starts, and one Hermite call gives its delayed midpoints.
+integrate thus runs one loop over chunks of min(_BLOCK_CHUNK, m - 1)
+steps. Each midpoint depends only on its own segment, so the numbers are
+those of one call per step, and the Python-float rows in flight do not
+grow with the delay; only the grid grows with the horizon.
 
 Every scenario is one table over the state z = x, or z = (x, xhat) with
 an observer: a matrix M, an input column b, a feedback row k and the
@@ -24,13 +30,9 @@ Each run generates it once from the table as straight-line Python on
 floats. Its sums add the nonzero products in index order, so the
 trajectory does not depend on the BLAS kernel.
 
-integrate takes the RK4 steps of each Hermite block in one generated
-function. One template writes it for every right-hand side: a stage is
-either the closed loop's straight-line code or a call of a plain rhs. The
-block's midpoints come from one Hermite call; its steps then go to the
-generated function in chunks of at most _BLOCK_CHUNK, so the Python-float
-rows in flight do not grow with the delay. Only the grid arrays of states
-and node slopes grow with the horizon.
+integrate takes each chunk's RK4 steps in one generated function. One
+template writes it for every right-hand side: a stage is either the
+closed loop's straight-line code or a call of a plain rhs.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from .sysmodel import GainSet, SystemSpec
 
 DIVERGENCE_GUARD = 1e12
 
-# most RK4 steps integrate passes to a generated block in one call
+# most RK4 steps integrate passes to a generated block in one call; a chunk
+# also takes at most m - 1 steps (see the module docstring)
 _BLOCK_CHUNK = 256
 
 # step used to differentiate the initial history function (it is a callable,
@@ -70,30 +73,21 @@ class Scenario(Enum):
         return self in (Scenario.OBSERVER, Scenario.OBSERVER_BASED, Scenario.OUTPUT_FEEDBACK)
 
 
-def _cubic_hermite(left, left_slope, right, right_slope, h: float, lam: float):
-    """Cubic Hermite values at fraction lam of segments of width h, elementwise
-    over row-aligned node values and slopes at the segments' two ends."""
-    h00 = (1.0 + 2.0 * lam) * (1.0 - lam) ** 2
-    h10 = lam * (1.0 - lam) ** 2
-    h01 = lam * lam * (3.0 - 2.0 * lam)
-    h11 = lam * lam * (lam - 1.0)
-    return h00 * left + h * h10 * left_slope + h01 * right + h * h11 * right_slope
-
-
 class HistoryBuffer:
-    """Uniform-grid state store with node derivatives for Hermite lookups.
+    """Uniform-grid store of node states and node slopes for Hermite lookups.
 
-    Node j corresponds to time t0 + j h. The derivative stored at a node is
-    the right-hand derivative; the left-hand slope of the initial history
-    at the junction node is kept separately because the first derivative
-    jumps there.
+    Node j is the time t0 + j h, and the slope stored there is its
+    right-hand derivative. The first derivative jumps at node break_index
+    (t = 0 for integrate, where the history's slope meets the loop's), so
+    the left-hand slope seeded there is kept aside, and :meth:`_hermite`
+    gives it to the segment that ends at the break.
     """
 
     def __init__(self, t0: float, h: float, capacity: int, width: int, break_index: int):
         self.t0 = float(t0)
         self.h = float(h)
         self._states = np.empty((capacity, width))
-        self._derivs = np.empty((capacity, width))
+        self._derivs = np.full((capacity, width), np.nan)  # a slope read before it is set is nan
         self._break_index = break_index
         self._break_left_slope = np.zeros(width)
         self._filled = 0
@@ -110,12 +104,14 @@ class HistoryBuffer:
             self._break_left_slope = slopes[self._break_index].copy()
         self._filled = count
 
-    def append(self, state: np.ndarray):
-        self._states[self._filled] = state
-        self._filled += 1
+    def append(self, *rows):
+        """Store rows as the next nodes."""
+        self._states[self._filled:self._filled + len(rows)] = rows
+        self._filled += len(rows)
 
-    def set_derivative(self, j: int, value: np.ndarray):
-        self._derivs[j] = value
+    def set_derivative(self, j: int, *rows):
+        """Store rows as the slopes of nodes j, j + 1, ..."""
+        self._derivs[j:j + len(rows)] = rows
 
     def node(self, j: int) -> np.ndarray:
         if j < 0 or j >= self._filled:
@@ -126,17 +122,21 @@ class HistoryBuffer:
         """Cubic Hermite values at fraction lam of segments start..stop-1.
 
         Segment j spans [node j, node j+1]; row r of the result belongs to
-        segment start + r. Every slope the range reads must already be set.
+        segment start + r. Every slope the range reads must already be set;
+        the segment that ends at the break reads the seeded left-hand slope.
         """
         if start < 0 or stop <= start or stop >= self._filled:
             raise ContractViolation(f"segments {start}..{stop - 1} outside stored history")
-        left_slope = self._derivs[start:stop]
         right_slope = self._derivs[start + 1:stop + 1]
         if start < self._break_index <= stop:
             right_slope = right_slope.copy()
             right_slope[self._break_index - start - 1] = self._break_left_slope
-        return _cubic_hermite(self._states[start:stop], left_slope,
-                              self._states[start + 1:stop + 1], right_slope, self.h, lam)
+        h00 = (1.0 + 2.0 * lam) * (1.0 - lam) ** 2
+        h10 = lam * (1.0 - lam) ** 2
+        h01 = lam * lam * (3.0 - 2.0 * lam)
+        h11 = lam * lam * (lam - 1.0)
+        return (h00 * self._states[start:stop] + self.h * h10 * self._derivs[start:stop]
+                + h01 * self._states[start + 1:stop + 1] + self.h * h11 * right_slope)
 
     def midpoints(self, start: int, stop: int) -> np.ndarray:
         """Hermite midpoints of segments start..stop-1, one row per segment."""
@@ -263,10 +263,11 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
     phi is a constant vector or a callable on [-tau, 0]; its value at 0 is
     the initial state. Returns (t, states) on the uniform grid covering
     [-tau, horizon], history included. Raises DivergedError at the first
-    node whose state is non-finite or larger than the guard. A generated
-    function (see :func:`_rk4_block`) takes the steps of each Hermite block,
-    at most _BLOCK_CHUNK steps a call: the ``block`` that rhs carries when it
-    is a generated closed loop (see :func:`_compile_loop`), else one that
+    node whose state is non-finite or larger than the guard. The grid is a
+    :class:`HistoryBuffer` with its break at node m = tau / h (t = 0), and
+    a generated function (see :func:`_rk4_block`) takes the steps in chunks
+    of min(_BLOCK_CHUNK, m - 1): the ``block`` that rhs carries when it is
+    a generated closed loop (see :func:`_compile_loop`), else one that
     calls rhs four times per step.
     """
     m, steps = _grid_layout(tau, h, horizon)
@@ -274,15 +275,16 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
 
     nodes = m + steps + 1
     try:
-        states, derivs = np.empty((nodes, width)), np.empty((nodes, width))
+        buffer = HistoryBuffer(-tau, h, nodes, width, break_index=m)
     except ValueError as exc:  # numpy's dimension limit, not a memory shortage
         raise ConfigError(f"a grid of {nodes:.3g} nodes exceeds numpy's array size limit") from exc
     except MemoryError as exc:
         raise ConfigError(f"a grid of {nodes:.3g} nodes does not fit in memory") from exc
 
+    values, slopes = np.empty((m + 1, width)), np.empty((m + 1, width))
     for j in range(m + 1):
-        states[j] = history(-tau + j * h)
-    if not np.all(np.isfinite(states[:m + 1])):
+        values[j] = history(-tau + j * h)
+    if not np.all(np.isfinite(values)):
         raise ConfigError("initial history contains non-finite values")
 
     # numpy stays silent on overflow: only the divergence guard reports it
@@ -293,31 +295,26 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
         for j in range(m + 1):
             s = -tau + j * h
             if j == 0:
-                derivs[j] = (-3.0 * history(s) + 4.0 * history(s + delta) - history(s + 2 * delta)) / (2 * delta)
+                slopes[j] = (-3.0 * history(s) + 4.0 * history(s + delta) - history(s + 2 * delta)) / (2 * delta)
             elif j == m:
-                derivs[j] = (3.0 * history(s) - 4.0 * history(s - delta) + history(s - 2 * delta)) / (2 * delta)
+                slopes[j] = (3.0 * history(s) - 4.0 * history(s - delta) + history(s - 2 * delta)) / (2 * delta)
             else:
-                derivs[j] = (history(s + delta) - history(s - delta)) / (2 * delta)
+                slopes[j] = (history(s + delta) - history(s - delta)) / (2 * delta)
+        buffer.seed(values, slopes)
+        del values, slopes
 
-        # one Hermite call gives the delayed midpoints of steps start..stop-1.
-        # The first block is the m history segments, taken while node m still
-        # holds the history's slope phi'(0), which step 0 then overwrites with
-        # the right-hand side's. From step m on, step i sets the slope of node
-        # m + i, so when a block starts the slopes of its m - 1 segments are known.
-        edges = [0, *range(m, steps, m - 1), steps]
+        # step i sets node m + i's slope: a chunk of at most m - 1 steps reads none of its own
+        chunk = min(_BLOCK_CHUNK, m - 1)
         block = getattr(rhs, "block", None) or _called_block(rhs, width)
-        for start, stop in zip(edges, edges[1:]):
-            mids = _cubic_hermite(states[start:stop], derivs[start:stop],
-                                  states[start + 1:stop + 1], derivs[start + 1:stop + 1], h, 0.5)
-            for lo in range(start, stop, _BLOCK_CHUNK):
-                hi = min(lo + _BLOCK_CHUNK, stop)
-                rows, slopes = block(lo, hi, states[m + lo].tolist(), states[lo:hi + 1].tolist(),
-                                     mids[lo - start:hi - start].tolist(), h)
-                states[m + lo + 1:m + hi + 1] = rows
-                derivs[m + lo:m + hi] = slopes
+        for lo in range(0, steps, chunk):
+            hi = min(lo + chunk, steps)
+            rows, slopes = block(lo, hi, buffer.node(m + lo).tolist(), buffer.states[lo:hi + 1].tolist(),
+                                 buffer.midpoints(lo, hi).tolist(), h)
+            buffer.append(*rows)
+            buffer.set_derivative(m + lo, *slopes)
 
     t = np.arange(-m, steps + 1, dtype=float) * h
-    return t, states
+    return t, buffer.states
 
 
 @dataclass
@@ -409,7 +406,7 @@ def _compile_loop(M, b, k, n: int, count: int, point: Callable, external):
     right-hand side for :func:`integrate` on 1-D arrays, which carries two
     more functions generated from the same stage code:
 
-    - ``rhs.block``, integrate's RK4 steps of a Hermite block (see
+    - ``rhs.block``, integrate's RK4 steps of a chunk (see
       :func:`_rk4_block`), with each stage written out inline;
     - ``rhs.control(columns)`` is u = k z on the columns of the states.
 
@@ -503,11 +500,12 @@ def run_scenario(sys: SystemSpec, gains: GainSet, scenario: Scenario, phi, phi_h
     t, states = integrate(loop, stacked_phi, sys.tau, h, horizon)
     x, xhat = states[:, :n], (states[:, n:] if scenario.has_observer else None)
 
+    # node m is t = 0: u is zero on the history and k z (+ u_ext) from there on
+    m = int(round(sys.tau / h))
     u = np.zeros(len(t))
-    live = t >= 0.0
     with np.errstate(all="ignore"):  # the last node's u is never a stage's; it may overflow
-        u[live] = loop.control(states[live].T)
+        u[m:] = loop.control(states[m:].T)
     if external is not None:
-        u[live] += [float(external(ti)) for ti in t[live]]
+        u[m:] += [float(external(ti)) for ti in t[m:]]
 
     return Trajectory(t=t, x=x, xhat=xhat, u=u, theta=gains.theta, tau=sys.tau, h=h)

@@ -345,6 +345,43 @@ def test_run_scenario_memory_does_not_grow_with_the_delay(bench_gains):
     assert peak < 2e6
 
 
+def test_run_scenario_takes_u_from_a_view_of_the_states(bench_system, bench_gains, monkeypatch):
+    # u is k z on the nodes from t = 0 on, taken from a view of the states there: after
+    # integrate returns, run_scenario allocates u and the temporaries of k z's sums, about
+    # 3.75 arrays of u's length; a copy of those states' rows would add about 4 more
+    integrate = ddesim.integrate
+
+    def then_trace(*args):
+        result = integrate(*args)
+        tracemalloc.start()
+        return result
+
+    monkeypatch.setattr(ddesim, "integrate", then_trace)
+    try:
+        traj = rs.run_scenario(bench_system, bench_gains, rs.Scenario.OBSERVER_BASED, BENCH_X0,
+                               BENCH_XHAT0, h=1e-3, horizon=10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.u) == 11_001
+    assert peak < 5 * traj.u.nbytes
+
+
+def test_history_buffer_takes_several_rows_a_call():
+    rng = np.random.default_rng(3)
+    values, slopes = rng.normal(size=(2, 6, 2))
+    one, several = (HistoryBuffer(t0=0.0, h=0.1, capacity=8, width=2, break_index=2) for _ in range(2))
+    for buf in (one, several):
+        buf.seed(values[:3], slopes[:3])
+    for row, slope in zip(values[3:], slopes[3:]):
+        one.append(row)
+        one.set_derivative(len(one.states) - 1, slope)
+    several.append(*values[3:].tolist())
+    several.set_derivative(3, *slopes[3:].tolist())
+    assert np.array_equal(several.states, values) and np.array_equal(one.states, values)
+    assert np.array_equal(several.midpoints(0, 5), one.midpoints(0, 5))
+
+
 def _opaque_f3(x, xd, u):
     return [0.5 * math.sin(x[0]) + 0.2 * xd[0] * math.cos(u), math.tanh(x[1] * xd[0]) - 0.1 * xd[1],
             0.3 * math.sin(xd[2]) * math.tanh(x[0]) + 0.1 * x[2] * xd[1]]
@@ -485,10 +522,14 @@ def test_integrate_matches_stepwise_loop_with_callable_history(tau, h):
 
 
 @pytest.mark.parametrize("m, steps", sorted({(m, steps) for m in (2, 5)
-                                             for steps in (m - 1, m, m + 1, 2 * m - 1, 2 * m)}))
+                                             for steps in (m - 1, m, m + 1, 2 * m - 1, 2 * m)}
+                                            | {(257, 600), (258, 600)}))
 def test_integrate_matches_stepwise_loop_at_the_block_edges(m, steps):
-    # the history block ends at step m, then blocks of m - 1 steps follow; phi'(0) = 2
-    # differs from the right-hand side at t = 0, as in the test above
+    # chunks of min(_BLOCK_CHUNK, m - 1) steps; step m - 1 reads the segment that ends at
+    # t = 0, where phi'(0) = 2 differs from the right-hand side, as in the test above.
+    # At m = 257 that step is a chunk's first row, at m = 258 its second; 600 steps
+    # leave a ragged last chunk
+    assert ddesim._BLOCK_CHUNK == 256
     phi = lambda s: np.array([math.cos(3.0 * s) + 2.0 * s, 1.0 - s * s])
     rhs = lambda t, x, xd: -2.0 * xd + np.sin(x)
     h = 0.05

@@ -1,0 +1,86 @@
+"""Print a sha256 digest of every output of a fixed set of CLI runs.
+
+    python tools/output_digests.py [SEED ...]        (default: seed 1)
+
+The runs go through ``ratstab.cli.main`` of the ``src/`` in the checkout
+that holds this file:
+
+- ``repro-paper``;
+- ``certify``, ``simulate`` and ``synthesize`` on the config of each member
+  of the benchmark's sweep round of every SEED
+  (``perfbench.workloads.sweep_config``);
+- ``repro-paper --theta 1e100``, which diverges.
+
+Each run prints one line per stdout, stderr, exit code and written file.
+The scratch directory's path is masked in all of them, so ``diff`` of the
+output of two checkouts shows every run whose bytes differ.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "src"))
+
+import ratstab  # noqa: E402
+from ratstab import cli  # noqa: E402
+
+import workloads  # noqa: E402
+
+if Path(ratstab.__file__).resolve().parent != (ROOT / "src" / "ratstab").resolve():
+    sys.exit(f"imported ratstab from {ratstab.__file__}, not from this checkout")
+
+
+def _digest(data: bytes, work: Path) -> str:
+    return hashlib.sha256(data.replace(str(work).encode(), b"<work>")).hexdigest()
+
+
+def run(label: str, argv: list, work: Path, out: Path | None = None) -> list:
+    """The digest lines of one ``cli.main(argv)`` call; ``out`` is the directory it writes."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    lines = [f"{label} stdout {_digest(stdout.getvalue().encode(), work)}",
+             f"{label} stderr {_digest(stderr.getvalue().encode(), work)}",
+             f"{label} exit {code}"]
+    if out is not None and out.is_dir():
+        lines += [f"{label} file {path.name} {_digest(path.read_bytes(), work)}"
+                  for path in sorted(out.iterdir())]
+    return lines
+
+
+def digests(seeds: list, work: Path) -> list:
+    lines = run("repro-paper", ["repro-paper", "--out", str(work / "paper")], work, work / "paper")
+    for seed in seeds:
+        for index, member in enumerate(workloads.sweep_round(seed)):
+            config = work / f"sweep{seed}-{index}.json"
+            config.write_text(json.dumps(workloads.sweep_config(member)))
+            name = f"sweep{seed}-{index}"
+            for command in ("certify", "simulate"):
+                out = work / f"{name}-{command}"
+                lines += run(f"{name} {command}", [command, "--config", str(config), "--out", str(out)],
+                             work, out)
+            lines += run(f"{name} synthesize", ["synthesize", "--config", str(config)], work)
+    diverged = work / "diverged"
+    lines += run("repro-paper-theta-1e100", ["repro-paper", "--theta", "1e100", "--out", str(diverged)],
+                 work, diverged)
+    return lines
+
+
+def main(argv: list) -> int:
+    seeds = [int(arg) for arg in argv] or [1]
+    with tempfile.TemporaryDirectory(prefix="ratstab-digests-") as tmp:
+        print("\n".join(digests(seeds, Path(tmp))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
