@@ -156,18 +156,15 @@ class HistoryBuffer:
         return self._hermite(j, j + 1, position - j)[0]
 
 
-def _as_history_fn(phi, width: int | None = None) -> tuple[Callable[[float], np.ndarray], int]:
-    """phi as a function of s returning float vectors, and their length. phi is
-    probed once, at s = 0; the probe must have `width` entries when one is given."""
+def _as_history_fn(phi, width: int | None = None) -> tuple[np.ndarray | Callable, int]:
+    """phi as data (a float vector) if constant, else the callable itself, and the
+    vectors' length. phi is probed once, at s = 0, and must give `width` entries if set."""
     probe = np.asarray(phi(0.0) if callable(phi) else phi, dtype=float)
     width = probe.size if width is None else width
-    if callable(phi):
-        if probe.shape != (width,):
-            raise ConfigError(f"history function must return length-{width} vectors")
-        return (lambda s: np.asarray(phi(s), dtype=float)), width
     if probe.shape != (width,):
-        raise ConfigError(f"constant history must have length {width}, got shape {probe.shape}")
-    return (lambda s: probe), width
+        raise ConfigError(f"history function must return length-{width} vectors" if callable(phi)
+                          else f"constant history must have length {width}, got shape {probe.shape}")
+    return (phi if callable(phi) else probe), width
 
 
 def _grid_layout(tau: float, h: float, horizon: float) -> tuple[int, int]:
@@ -281,27 +278,33 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
     except MemoryError as exc:
         raise ConfigError(f"a grid of {nodes:.3g} nodes does not fit in memory") from exc
 
-    values, slopes = np.empty((m + 1, width)), np.empty((m + 1, width))
-    for j in range(m + 1):
-        values[j] = history(-tau + j * h)
+    def sample(times: np.ndarray) -> np.ndarray:
+        """One row per time: a constant is broadcast, uncalled; a callable gets Python floats."""
+        if not callable(history):
+            return np.broadcast_to(history, (len(times), width))
+        rows = np.empty((len(times), width))
+        for i, s in enumerate(times.tolist()):
+            rows[i] = history(s)
+        return rows
+
+    times = -tau + np.arange(m + 1) * h
+    values = sample(times)
     if not np.all(np.isfinite(values)):
         raise ConfigError("initial history contains non-finite values")
 
     # numpy stays silent on overflow: only the divergence guard reports it
     with np.errstate(all="ignore"):
-        # slopes of the history callable; one-sided second-order stencils at the
-        # ends, step capped by h so no evaluation leaves [-tau, 0]
+        # slopes of the history: central differences inside, one-sided second-order
+        # stencils at the ends, step capped by h so no sample leaves [-tau, 0]
         delta = min(_PHI_SLOPE_STEP_SCALE * max(1.0, tau), h)
-        for j in range(m + 1):
-            s = -tau + j * h
-            if j == 0:
-                slopes[j] = (-3.0 * history(s) + 4.0 * history(s + delta) - history(s + 2 * delta)) / (2 * delta)
-            elif j == m:
-                slopes[j] = (3.0 * history(s) - 4.0 * history(s - delta) + history(s - 2 * delta)) / (2 * delta)
-            else:
-                slopes[j] = (history(s + delta) - history(s - delta)) / (2 * delta)
+        plus, minus = sample(times[:-1] + delta), sample(times[1:] - delta)
+        ends = sample(np.array([times[0] + 2 * delta, times[m] - 2 * delta]))
+        slopes = np.empty((m + 1, width))
+        slopes[0] = (-3.0 * values[0] + 4.0 * plus[0] - ends[0]) / (2 * delta)
+        slopes[1:m] = (plus[1:] - minus[:-1]) / (2 * delta)
+        slopes[m] = (3.0 * values[m] - 4.0 * minus[-1] + ends[1]) / (2 * delta)
         buffer.seed(values, slopes)
-        del values, slopes
+        del values, slopes, plus, minus
 
         # step i sets node m + i's slope: a chunk of at most m - 1 steps reads none of its own
         chunk = min(_BLOCK_CHUNK, m - 1)
@@ -485,19 +488,15 @@ def run_scenario(sys: SystemSpec, gains: GainSet, scenario: Scenario, phi, phi_h
         raise ConfigError(f"gain length {gains.n} does not match system dimension {n}")
     M, b, k, f_blocks = _closed_loop(scenario, gains)
     external = u_ext if b is not None else None
-    f = sys.f
 
-    plant_phi, _ = _as_history_fn(phi, n)
-    if scenario.has_observer:
-        if phi_hat is None:
-            raise ConfigError(f"scenario {scenario.value} needs an observer history")
-        observer_phi, _ = _as_history_fn(phi_hat, n)
-        stacked_phi = lambda s: np.concatenate([plant_phi(s), observer_phi(s)])
-    else:
-        stacked_phi = plant_phi
+    if scenario.has_observer and phi_hat is None:
+        raise ConfigError(f"scenario {scenario.value} needs an observer history")
+    parts = [_as_history_fn(p, n)[0] for p in ((phi, phi_hat) if scenario.has_observer else (phi,))]
+    stacked = (np.concatenate(parts) if not any(map(callable, parts))
+               else lambda s: np.concatenate([p(s) if callable(p) else p for p in parts]))
 
-    loop = _compile_loop(M, b, k, n, len(f_blocks), f.point, external)
-    t, states = integrate(loop, stacked_phi, sys.tau, h, horizon)
+    loop = _compile_loop(M, b, k, n, len(f_blocks), sys.f.point, external)
+    t, states = integrate(loop, stacked, sys.tau, h, horizon)
     x, xhat = states[:, :n], (states[:, n:] if scenario.has_observer else None)
 
     # node m is t = 0: u is zero on the history and k z (+ u_ext) from there on

@@ -101,7 +101,17 @@ Expr = Union[Num, Var, Neg, Call, Bin]
 
 _NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_VAR_RE = re.compile(r"(?:xd?[1-9][0-9]*|[ut])\Z")
+_STATE_RE = re.compile(r"(xd?)([1-9][0-9]*)\Z")
+
+
+def state_index(name: str) -> tuple[str, float] | None:
+    """("x" or "xd", 1-based index) of a state variable's name, else None. An index
+    of more than 9 digits reads as inf (int() caps at 4300 digits; no state has one)."""
+    m = _STATE_RE.match(name)
+    if m is None:
+        return None
+    digits = m.group(2)
+    return m.group(1), (int(digits) if len(digits) <= 9 else math.inf)
 
 
 def _safe_ln(x: float) -> float:
@@ -246,7 +256,7 @@ class _Parser:
                     raise ExprSyntaxError(self._peek()[2], "expected ')'")
                 self._advance()
                 return Call(value, arg)
-            if _VAR_RE.match(value) is None:
+            if value not in ("u", "t") and state_index(value) is None:
                 raise ExprSyntaxError(offset, f"unknown identifier {value!r}")
             return Var(value)
         if (kind, value) == ("op", "("):
@@ -335,8 +345,6 @@ _COLUMN_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
 # table entries that generated code spells as Python operators: the same operations
 _SYNTAX = {(operator.add, 2): "{} + {}", (operator.sub, 2): "{} - {}",
            (operator.mul, 2): "{} * {}", (operator.neg, 1): "-{}"}
-
-_STATE_RE = re.compile(r"(xd?)([1-9][0-9]{0,8})\Z")  # longer indexes name no state
 
 
 def _generate(exprs, ops: Mapping[str, Callable], params: tuple, read: Callable) -> Callable:
@@ -449,10 +457,10 @@ def compile_vector(exprs, params: tuple, columns: bool = False) -> Callable[...,
             return None
         if name in ("u", "t"):
             return name if name in params else None
-        m = _STATE_RE.match(name)
-        if m is None or m.group(1) not in params:
+        state = state_index(name)
+        if state is None or state[0] not in params or state[1] == math.inf:
             return None
-        return f"{m.group(1)}[{int(m.group(2)) - 1}]"
+        return f"{state[0]}[{state[1] - 1}]"
 
     return _generate(exprs, _COLUMN_OPS if columns else _SCALAR_OPS, tuple(params), read)
 

@@ -10,7 +10,6 @@ power-of-theta pattern.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -25,7 +24,6 @@ from .matops import MAX_DIM, build_companion, check_dimension, delta_theta, is_h
 U_ZERO_GRID = (-10.0, -1.0, 0.0, 1.0, 10.0)
 
 _ZERO_TOL = 1e-9
-_VAR_INDEX_RE = re.compile(r"(xd?)([1-9][0-9]*)\Z")
 
 
 class Nonlinearity:
@@ -44,11 +42,10 @@ class Nonlinearity:
     input values. Call it on one point; :meth:`rows` evaluates many points.
     """
 
-    def __init__(self, n: int, components=None, fn: Callable | None = None, name: str = ""):
+    def __init__(self, n: int, components=None, fn: Callable | None = None):
         if (components is None) == (fn is None):
             raise ConfigError("exactly one of components/fn must be given")
         self.n = int(n)
-        self.name = name
         self.components = list(components) if components is not None else None
         self._columns = None
         if self.components is not None:
@@ -99,16 +96,14 @@ class Nonlinearity:
                     raise ConfigError(
                         f"component {i + 1} references 't'; the nonlinearity is time-invariant"
                     )
-                m = _VAR_INDEX_RE.match(var)
-                if m is None:  # only a hand-built AST holds such a name
+                state = exprlang.state_index(var)
+                if state is None:  # only a hand-built AST holds such a name
                     raise ConfigError(f"component {i + 1} references unknown variable {var!r}")
-                digits = m.group(2)
-                index = int(digits) if len(digits) <= 9 else math.inf  # int() caps at 4300 digits
-                if index > self.n:
+                if state[1] > self.n:
                     raise ConfigError(
                         f"component {i + 1} references {var!r} but the system has n={self.n}"
                     )
-                if index > i + 1:
+                if state[1] > i + 1:
                     raise ConfigError(
                         f"triangularity violated: component {i + 1} references {var!r} "
                         f"(only indices up to {i + 1} are allowed)"
@@ -155,15 +150,13 @@ REGISTRY: dict[str, tuple[str, ...]] = {
 def make_nonlinearity(source, n: int) -> Nonlinearity:
     """Build a nonlinearity from a registry name or a list of expression strings."""
     check_dimension(n)
-    name = "<expressions>"
     if isinstance(source, str):
         if source not in REGISTRY:
             known = ", ".join(sorted(REGISTRY))
             raise ConfigError(f"unknown nonlinearity {source!r} (known: {known})")
-        name, leading = source, REGISTRY[source]
+        leading = REGISTRY[source]
         source = [*leading, *["0"] * (n - len(leading))]
-    exprs = [exprlang.parse(text) for text in source]
-    return Nonlinearity(n, components=exprs, name=name)
+    return Nonlinearity(n, components=[exprlang.parse(text) for text in source])
 
 
 def scale_gains(L, K, theta: float):

@@ -252,41 +252,44 @@ def test_observer_scenario_requires_history(bench_system, bench_gains):
 
 
 def _stepwise_integrate(rhs, phi, tau, h, horizon):
-    """Reference method of steps: one Hermite midpoint per step, the factor
-    (h / 6.0) inside the update, and the divergence guard as two checks
-    (non-finite entries, then the Euclidean norm). integrate must return
-    the same bits and raise at the same time."""
+    """Reference method of steps on its own arrays: one Hermite midpoint per
+    step, by the weights written out, with the history's own slope phi'(0) on
+    the segment that ends at t = 0; the factor (h / 6.0) inside the update;
+    and the divergence guard as two checks (non-finite entries, then the
+    Euclidean norm). integrate must return the same bits and raise at the
+    same time."""
     m, steps = int(round(tau / h)), int(round(horizon / h))
     history = phi if callable(phi) else (lambda s: np.asarray(phi, dtype=float))
     width = len(history(0.0))
     nodes = [-tau + j * h for j in range(m + 1)]
-    values = np.array([history(s) for s in nodes], dtype=float)
+    states, derivs = np.empty((m + steps + 1, width)), np.empty((m + steps + 1, width))
+    states[:m + 1] = [history(s) for s in nodes]
     delta = min(1e-5 * max(1.0, tau), h)
-    slopes = np.empty((m + 1, width))
     for j, s in enumerate(nodes):
         if j == 0:
-            slopes[j] = (-3.0 * history(s) + 4.0 * history(s + delta) - history(s + 2 * delta)) / (2 * delta)
+            derivs[j] = (-3.0 * history(s) + 4.0 * history(s + delta) - history(s + 2 * delta)) / (2 * delta)
         elif j == m:
-            slopes[j] = (3.0 * history(s) - 4.0 * history(s - delta) + history(s - 2 * delta)) / (2 * delta)
+            derivs[j] = (3.0 * history(s) - 4.0 * history(s - delta) + history(s - 2 * delta)) / (2 * delta)
         else:
-            slopes[j] = (history(s + delta) - history(s - delta)) / (2 * delta)
-    buffer = HistoryBuffer(t0=-tau, h=h, capacity=m + steps + 1, width=width, break_index=m)
-    buffer.seed(values, slopes)
+            derivs[j] = (history(s + delta) - history(s - delta)) / (2 * delta)
+    phi_slope_at_0 = derivs[m].copy()  # step 0 overwrites node m's slope with the loop's
     half = 0.5 * h
     for i in range(steps):
         t = i * h
-        x = buffer.node(m + i)
-        k1 = np.asarray(rhs(t, x, buffer.node(i)), dtype=float)
-        buffer.set_derivative(m + i, k1)
-        x_mid_delayed = buffer.segment_midpoint(i)
+        x = states[m + i]
+        k1 = np.asarray(rhs(t, x, states[i]), dtype=float)
+        derivs[m + i] = k1
+        right_slope = phi_slope_at_0 if i == m - 1 else derivs[i + 1]
+        x_mid_delayed = (0.5 * states[i] + h * 0.125 * derivs[i]
+                         + 0.5 * states[i + 1] + h * -0.125 * right_slope)
         k2 = np.asarray(rhs(t + half, x + half * k1, x_mid_delayed), dtype=float)
         k3 = np.asarray(rhs(t + half, x + half * k2, x_mid_delayed), dtype=float)
-        k4 = np.asarray(rhs(t + h, x + h * k3, buffer.node(i + 1)), dtype=float)
+        k4 = np.asarray(rhs(t + h, x + h * k3, states[i + 1]), dtype=float)
         advanced = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(advanced)) or np.linalg.norm(advanced) > DIVERGENCE_GUARD:
             raise DivergedError((i + 1) * h)
-        buffer.append(advanced)
-    return buffer.states.copy()
+        states[m + i + 1] = advanced
+    return states
 
 
 def _spelled_dot(M, z):
@@ -391,7 +394,7 @@ F3_KINDS = {
     "registry": lambda: rs.make_nonlinearity("paper_example", 3),
     "expression": lambda: rs.make_nonlinearity(
         ["0.5*sin(x1) + 0.2*xd1*cos(u)", "tanh(x2*xd1) - 0.1*xd2", "0.3*sin(xd3)*tanh(x1) + 0.1*x3*xd2"], 3),
-    "opaque": lambda: rs.Nonlinearity(3, fn=_opaque_f3, name="opaque"),
+    "opaque": lambda: rs.Nonlinearity(3, fn=_opaque_f3),
 }
 
 
@@ -547,6 +550,65 @@ def test_integrate_calls_the_right_hand_side_four_times_per_step():
 
     rs.integrate(rhs, np.array([1.0]), tau=0.1, h=0.02, horizon=1.0)
     assert len(calls) == 4 * 50
+
+
+def test_integrate_samples_a_callable_history_3m_plus_3_times_after_its_probe():
+    # m + 1 nodes, m nodes shifted by +delta, m by -delta and the two far end points
+    calls = []
+
+    def phi(s):
+        calls.append(s)
+        return [math.cos(3.0 * s) + 2.0 * s]
+
+    m, h = 20, 0.01
+    rs.integrate(lambda t, x, xd: -xd, phi, tau=m * h, h=h, horizon=0.1)
+    assert calls[0] == 0.0 and len(calls) == 1 + 3 * m + 3
+    assert -m * h - 1e-9 < min(calls) and max(calls) < 1e-9  # no sample leaves [-tau, 0]
+
+
+# 3 * 0.1 is inexact, so the one-sided end stencils give this constant nonzero slopes
+_INEXACT_CONSTANT = np.array([0.1, -0.7, 0.3])
+
+
+def test_constant_and_callable_histories_give_the_same_bits(monkeypatch):
+    seeded, seed = [], HistoryBuffer.seed
+
+    def spy(buffer, values, slopes):
+        seeded.append(slopes.copy())
+        return seed(buffer, values, slopes)
+
+    monkeypatch.setattr(HistoryBuffer, "seed", spy)
+    rhs = lambda t, x, xd: -2.0 * xd[::-1] + np.sin(x)
+    _, constant = rs.integrate(rhs, _INEXACT_CONSTANT, tau=0.1, h=0.01, horizon=1.0)
+    _, called = rs.integrate(rhs, lambda s: _INEXACT_CONSTANT.tolist(), tau=0.1, h=0.01, horizon=1.0)
+    assert np.array_equal(constant, called)
+    assert np.array_equal(constant, _stepwise_integrate(rhs, _INEXACT_CONSTANT, 0.1, 0.01, 1.0))
+    assert np.array_equal(seeded[0], seeded[1]) and np.any(seeded[0][[0, -1]] != 0.0)
+
+
+@pytest.mark.parametrize("scenario", list(rs.Scenario), ids=lambda s: s.value)
+def test_run_scenario_gives_constant_and_callable_histories_the_same_bits(scenario, monkeypatch):
+    sys_spec = rs.SystemSpec(n=3, tau=0.1, f=F3_KINDS["expression"](), lipschitz_k=1.0)
+    xhat0 = np.array([-0.4, 0.6, 0.1])
+    histories, integrate = [], ddesim.integrate
+
+    def spy(rhs, phi, *rest):
+        histories.append(phi)
+        return integrate(rhs, phi, *rest)
+
+    monkeypatch.setattr(ddesim, "integrate", spy)
+    runs = [rs.run_scenario(sys_spec, rs.GainSet(**_F3_GAINS), scenario, phi, phi_hat, h=0.01, horizon=1.0)
+            for phi, phi_hat in [(_INEXACT_CONSTANT, xhat0),
+                                 (lambda s: _INEXACT_CONSTANT.tolist(), lambda s: xhat0.copy()),
+                                 (lambda s: _INEXACT_CONSTANT.copy(), xhat0)]]  # callable plant only
+    # constants reach integrate as one constant, not as a function that returns it
+    stacked = np.concatenate([_INEXACT_CONSTANT, xhat0]) if scenario.has_observer else _INEXACT_CONSTANT
+    assert type(histories[0]) is np.ndarray and np.array_equal(histories[0], stacked)
+    assert callable(histories[1]) and callable(histories[2])
+    for called in runs[1:]:
+        assert np.array_equal(called.x, runs[0].x) and np.array_equal(called.u, runs[0].u)
+        if scenario.has_observer:
+            assert np.array_equal(called.xhat, runs[0].xhat)
 
 
 _SLOPE_SHAPES = {

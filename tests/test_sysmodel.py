@@ -106,9 +106,9 @@ def test_nonzero_origin_rejected():
 
 def test_opaque_triangularity_probing():
     with pytest.raises(ConfigError, match="triangularity"):
-        Nonlinearity(2, fn=lambda x, xd, u: np.array([x[1], 0.0]), name="bad")
+        Nonlinearity(2, fn=lambda x, xd, u: np.array([x[1], 0.0]))
     with pytest.raises(ConfigError, match="triangularity"):
-        Nonlinearity(2, fn=lambda x, xd, u: np.array([xd[1], 0.0]), name="bad-delayed")
+        Nonlinearity(2, fn=lambda x, xd, u: np.array([xd[1], 0.0]))
 
 
 def test_gainset_validates_hurwitz():
@@ -150,7 +150,7 @@ def test_lipschitz_zero_function():
 
 
 def test_lipschitz_sine():
-    f = Nonlinearity(2, fn=lambda x, xd, u: np.array([math.sin(x[0]), 0.0]), name="sine")
+    f = Nonlinearity(2, fn=lambda x, xd, u: np.array([math.sin(x[0]), 0.0]))
     est = rs.estimate_lipschitz(f, [(-5, 5), (-5, 5)], samples=2000, seed=0)
     assert est == pytest.approx(1.0, abs=0.05)
 
@@ -178,7 +178,7 @@ def test_lipschitz_monotone_in_box():
     small = rs.estimate_lipschitz(f, [(-10, 10), (-10, 10)], samples=500, seed=1)
     large = rs.estimate_lipschitz(f, [(-20, 20), (-20, 20)], samples=500, seed=1)
     assert large >= small - 1e-12
-    f_sine = Nonlinearity(1, fn=lambda x, xd, u: np.array([math.sin(x[0])]), name="sine1")
+    f_sine = Nonlinearity(1, fn=lambda x, xd, u: np.array([math.sin(x[0])]))
     small = rs.estimate_lipschitz(f_sine, [(-2, 2)], samples=500, seed=1)
     large = rs.estimate_lipschitz(f_sine, [(-5, 5)], samples=500, seed=1)
     assert large >= small - 1e-12
@@ -241,8 +241,7 @@ def test_rows_match_call():
     rows = 400
     opaque = [
         rs.make_nonlinearity("paper_example", 3),
-        Nonlinearity(2, fn=lambda x, xd, u: np.array([math.sin(x[0]) * u, xd[0] * x[1]]),
-                     name="opaque"),
+        Nonlinearity(2, fn=lambda x, xd, u: np.array([math.sin(x[0]) * u, xd[0] * x[1]])),
     ]
     for f in opaque:
         X, XD = rng.uniform(-5, 5, (2, rows, f.n))
@@ -286,7 +285,7 @@ def test_lipschitz_norms_do_not_overflow(exprs, box, expected):
 @pytest.mark.parametrize("result", [np.zeros(3), [0.0], 0.0], ids=["three", "one", "scalar"])
 def test_callable_must_return_n_values(result):
     with pytest.raises(ConfigError, match="f must return 2 values"):
-        Nonlinearity(2, fn=lambda x, xd, u: result, name="wrong-length")
+        Nonlinearity(2, fn=lambda x, xd, u: result)
 
 
 def _list_contract_fn(x, xd, u):
@@ -298,7 +297,7 @@ def _list_contract_fn(x, xd, u):
 
 
 def test_rows_match_call_on_lists():
-    f = Nonlinearity(3, fn=_list_contract_fn, name="lists")
+    f = Nonlinearity(3, fn=_list_contract_fn)
     rng = np.random.default_rng(13)
     X, XD = rng.uniform(-5, 5, (2, 100, 3))
     U = rng.uniform(-3, 3, 100)
