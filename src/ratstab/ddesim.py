@@ -28,7 +28,11 @@ single right-hand side serves all of them: u = k z (+ u_ext),
 dz = M z (+ b u_ext), then f(z_block, z_block(t - tau), u) on each block.
 Each run generates it once from the table as straight-line Python on
 floats. Its sums add the nonzero products in index order, so the
-trajectory does not depend on the BLAS kernel.
+trajectory does not depend on the BLAS kernel. An expression f is
+spelled into that code by exprlang's emitter, the one that writes f's own
+``point`` function, so a stage computes the same doubles without calling
+it; a callable f, or one of more than _INLINE_NODES operator nodes, is
+called once per block and stage.
 
 integrate takes each chunk's RK4 steps in one generated function. One
 template writes it for every right-hand side: a stage is either the
@@ -44,6 +48,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import exprlang
 from .errors import ConfigError, ContractViolation, DivergedError
 from .matops import build_companion
 from .sysmodel import GainSet, SystemSpec
@@ -53,6 +58,12 @@ DIVERGENCE_GUARD = 1e12
 # most RK4 steps integrate passes to a generated block in one call; a chunk
 # also takes at most m - 1 steps (see the module docstring)
 _BLOCK_CHUNK = 256
+
+# a stage spells an expression f of at most this many operator nodes inline and
+# calls a larger one: each node spelled costs compile time and memory in every
+# stage, while inlining saves about 1 us a step; with 64 nodes on each of two
+# blocks it paid off from about 2,500 steps (2-vCPU x86-64 VM, Python 3.11)
+_INLINE_NODES = 64
 
 # step used to differentiate the initial history function (it is a callable,
 # so the step is independent of the grid)
@@ -401,10 +412,10 @@ def _closed_loop(scenario: Scenario, gains: GainSet):
     raise ConfigError(f"unknown scenario {scenario!r}")
 
 
-def _compile_loop(M, b, k, n: int, count: int, point: Callable, external):
+def _compile_loop(M, b, k, n: int, count: int, f, external):
     """The closed loop of a table (M, b, k) as generated straight-line Python on floats.
 
-    f, through ``point``, acts on the first ``count`` n-blocks of z, and
+    The nonlinearity f acts on the first ``count`` n-blocks of z, and
     ``external`` gives u_ext(t) when b is set. Returns ``rhs(t, z, zd)``, a
     right-hand side for :func:`integrate` on 1-D arrays, which carries two
     more functions generated from the same stage code:
@@ -417,12 +428,16 @@ def _compile_loop(M, b, k, n: int, count: int, point: Callable, external):
     products of the nonzero entries in index order. So no BLAS kernel's
     summation order reaches a result, and an exact zero is +0. Table
     entries are bound as namespace values, never written as text, so inf
-    and nan gains compile too.
+    and nan gains compile too. A stage spells an expression f of at most
+    _INLINE_NODES operator nodes inline, through :func:`exprlang.emit`, and
+    shares a call with the same operands between blocks; a literal-0
+    component adds no term, as the sum is never -0.0. A callable f, or a
+    larger one, is called as ``f.point`` once per block.
     """
     width = len(k)
-    namespace = {"__builtins__": {}, "float": float, "point": point, "external": external}
+    namespace = {"__builtins__": {}, "float": float, "point": f.point, "external": external}
 
-    def bind(value: float) -> str:
+    def bind(value) -> str:
         name = f"w{len(namespace)}"
         namespace[name] = value
         return name
@@ -436,21 +451,43 @@ def _compile_loop(M, b, k, n: int, count: int, point: Callable, external):
 
     M_bound, k_bound = [weights(row) for row in M], weights(k)
     b_bound = weights(b) if external is not None else [None] * width
-    fs = [f"f{i}" for i in range(count * n)]
+    blocks = range(0, count * n, n)
+    components = f.components
+    if components is not None and sum(exprlang.operator_count(component, _INLINE_NODES)
+                                      for component in components) > _INLINE_NODES:
+        components = None
+
+    def nonlinearity(z: list, zd: list) -> tuple[list, dict]:
+        """Lines that compute f on each block of (z, zd) at u, and the operand
+        that holds each component of z they give (none for a literal 0)."""
+        if components is None:
+            fs = [f"f{i}" for i in range(count * n)]
+            return ([f"{_unpack(fs[lo:lo + n])} = "
+                     f"point({_unpack(z[lo:lo + n])}, {_unpack(zd[lo:lo + n])}, u)" for lo in blocks],
+                    dict(enumerate(fs)))
+        items, rows = [], []
+        for lo in blocks:
+            read = {"u": "u", **{f"x{i + 1}": z[lo + i] for i in range(n)},
+                    **{f"xd{i + 1}": zd[lo + i] for i in range(n)}}.get
+            for i, component in enumerate(components):
+                if component != exprlang.Num(0.0):
+                    items.append((component, read))
+                    rows.append(lo + i)
+        lines, values = exprlang.emit(items, bind, "f_")
+        return lines, dict(zip(rows, values))
 
     def stage(time: str, z: list, zd: list, out: list) -> list:
         """Lines that set ``out`` to the right-hand side at (time, z, zd)."""
         lines = [f"u = {_total(products(k_bound, z))}"]
         if external is not None:
             lines += [f"v = float(external({time}))", "u = u + v"]
-        for lo in range(0, count * n, n):
-            lines.append(f"{_unpack(fs[lo:lo + n])} = "
-                         f"point({_unpack(z[lo:lo + n])}, {_unpack(zd[lo:lo + n])}, u)")
+        f_lines, fs = nonlinearity(z, zd)
+        lines += f_lines
         for i in range(width):
             terms = products(M_bound[i], z)
             if b_bound[i]:
                 terms.append(f"{b_bound[i]} * v")
-            if i < len(fs):
+            if i in fs:
                 terms.append(fs[i])
             lines.append(f"{out[i]} = {_total(terms)}")
         return lines
@@ -495,7 +532,7 @@ def run_scenario(sys: SystemSpec, gains: GainSet, scenario: Scenario, phi, phi_h
     stacked = (np.concatenate(parts) if not any(map(callable, parts))
                else lambda s: np.concatenate([p(s) if callable(p) else p for p in parts]))
 
-    loop = _compile_loop(M, b, k, n, len(f_blocks), sys.f.point, external)
+    loop = _compile_loop(M, b, k, n, len(f_blocks), sys.f, external)
     t, states = integrate(loop, stacked, sys.tau, h, horizon)
     x, xhat = states[:, :n], (states[:, n:] if scenario.has_observer else None)
 

@@ -13,20 +13,24 @@ the delayed states xd1, xd2, ..., the input u and time t. Available
 functions: sin, cos, tan, tanh, exp, ln, sqrt, abs.
 
 An AST is compiled once into a generated Python function, which callers
-keep and call for every point. The compiler walks the tree with an
-explicit stack, emits one assignment per operator node into straight-line
-source and hands that to the ``compile`` builtin once. Literals and table
-entries are bound as values, and a variable is read by the string literal
-of its name, so no AST text becomes code. One generator serves two
-operation tables. The scalar table evaluates one point with :mod:`math`;
-the column table evaluates many points at once, 1-D numpy columns, with
-numpy ufuncs. :func:`compile_expr` gives a
+keep and call for every point. One emitter, :func:`emit`, walks the tree
+with an explicit stack and writes one assignment per operator node as
+straight-line source; :func:`compile_expr` and :func:`compile_vector` wrap
+its lines in a ``def`` and hand that to the ``compile`` builtin once, and
+the simulator writes them into its own generated RK4 stage. Literals and
+table entries are bound as values, and a variable is read through the
+caller's code for its name, so no AST text becomes code. The emitter
+serves two operation tables. The scalar table evaluates one point with
+:mod:`math`; the column table evaluates many points at once, 1-D numpy
+columns, with numpy ufuncs. :func:`compile_expr` gives a
 function of a mapping from variable name to value, in either table, and
 :func:`evaluate` is "compile with the scalar table, then call".
 :func:`compile_vector` compiles several ASTs into one function of
 positional arguments, in either table, such as a nonlinearity's
 ``point(xs, xds, u)`` or a history's ``phi(t)``, with no mapping built per
-call.
+call. The scalar table's ``+ - *`` and negation are spelled as Python
+operators, and its sin, cos and tan as ``cos(a) if -inf < a < inf else
+nan``, which gives the table entry's values without calling it.
 
 Both tables follow one non-finite policy. Evaluation is plain IEEE double
 arithmetic and total: domain errors (ln of a negative number, division by
@@ -343,54 +347,75 @@ _COLUMN_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
 
 
 # table entries that generated code spells as Python operators: the same operations
-_SYNTAX = {(operator.add, 2): "{} + {}", (operator.sub, 2): "{} - {}",
-           (operator.mul, 2): "{} * {}", (operator.neg, 1): "-{}"}
+_SYNTAX = {(operator.add, 2): "{0} + {1}", (operator.sub, 2): "{0} - {1}",
+           (operator.mul, 2): "{0} * {1}", (operator.neg, 1): "-{0}"}
+# the scalar table's sin, cos and tan, spelled as a finite check around math's own: the
+# check stands in for the entry's handler of +-inf, so math sees the same finite inputs
+_TRIG = {FUNCTIONS[name]: getattr(math, name) for name in ("sin", "cos", "tan")}
 
 
-def _generate(exprs, ops: Mapping[str, Callable], params: tuple, read: Callable) -> Callable:
-    """Compile ASTs into one straight-line Python function of ``params``.
+def operator_count(expr: Expr, limit: float = math.inf) -> int:
+    """Number of operator nodes (operators, negations and calls) in the tree;
+    the count stops once it passes ``limit``."""
+    count, stack = 0, [expr]
+    while stack and count <= limit:
+        children = _children(stack.pop())
+        count += bool(children)
+        stack.extend(children)
+    return count
 
-    The walk is post-order with an explicit stack and emits one assignment
-    per operator node. The value at stack position d goes to local
-    ``s<d>``, so the function has one such local per tree level, not one
-    per node. Literals and table entries are bound as values in the
-    function's namespace, which holds no builtins. ``read(name)`` gives
-    the code that reads variable ``name`` from ``params``, or None when
-    nothing binds it; each variable is read once, into a local named
-    here. So no AST text ever becomes code. The function returns the list
-    of the expressions' values.
+
+def emit(items, bind: Callable, prefix: str = "",
+         ops: Mapping[str, Callable] = _SCALAR_OPS) -> tuple[list, list]:
+    """Straight-line assignment lines that compute expressions, for a caller's generated source.
+
+    ``items`` are pairs ``(expr, read)``. ``read(name)`` gives the code
+    that reads variable ``name`` in the caller's source, or None when
+    nothing binds it (ExprEvalError). A read that is not a plain name is
+    taken once, into a local. ``bind(value)`` puts a literal or an entry
+    of ``ops``, the scalar table by default, into the generated code's
+    namespace and returns its name. The walk is post-order with an
+    explicit stack and writes one assignment per operator node: the value
+    at stack position d goes to local ``<prefix>s<d>``, so the lines use
+    one such local per tree level, not one per node. A call whose operand
+    is a name that the lines never reassign (a variable, a literal or
+    another such call) is written once, into its own local, however often
+    it appears. So no AST text ever becomes code. Returns the lines,
+    unindented, and one operand per expression: the name that holds its
+    value after the lines have run.
     """
-    namespace = {"__builtins__": {}}
-    templates = {}  # (table key, arity) -> code with one {} per operand
-    held = {}  # variable name -> local or parameter holding it
+    templates = {}  # (table key, arity) -> code with {0}, {1} for the operands
+    held, calls = {}, {}  # read code -> local or name; (key, operand) -> local of a call
+    slots = set()
     reads, body = [], []
-    values = []  # operand per stack position: a slot, a literal's name or a variable's
+    values = []  # operand per stack position: a slot, or a name the lines never reassign
 
-    def bind(value) -> str:
-        name = f"k{len(namespace) - 1}"
-        namespace[name] = value
-        return name
+    def template(key, arity) -> str:
+        if key not in ops:
+            raise ExprEvalError(f"unknown operation {key!r}")
+        fn = ops[key]
+        if (fn, arity) in _SYNTAX:
+            return _SYNTAX[fn, arity]
+        if fn in _TRIG:
+            return (f"{bind(_TRIG[fn])}({{0}}) if {bind(-math.inf)} < {{0}} < {bind(math.inf)} "
+                    f"else {bind(math.nan)}")
+        return f"{bind(fn)}({', '.join(f'{{{i}}}' for i in range(arity))})"
 
-    def variable(name) -> str:
-        if name not in held:
-            code = read(name)
-            if code is None:
-                raise ExprEvalError(f"unbound variable {name!r}")
-            if code in params:
-                held[name] = code
-            else:
-                held[name] = f"v{len(reads)}"
-                reads.append(f"    {held[name]} = {code}")
-        return held[name]
-
-    for expr in exprs:
+    for expr, read in items:
         todo = [(expr, False)]
         while todo:
             node, expanded = todo.pop()
             if isinstance(node, Num):
                 values.append(bind(node.value))
             elif isinstance(node, Var):
-                values.append(variable(node.name))
+                code = read(node.name)
+                if code is None:
+                    raise ExprEvalError(f"unbound variable {node.name!r}")
+                if code not in held:
+                    held[code] = code if code.isidentifier() else f"{prefix}v{len(reads)}"
+                    if held[code] != code:
+                        reads.append(f"{held[code]} = {code}")
+                values.append(held[code])
             elif not expanded:
                 todo.append((node, True))
                 todo.extend((child, False) for child in reversed(_children(node)))
@@ -398,16 +423,40 @@ def _generate(exprs, ops: Mapping[str, Callable], params: tuple, read: Callable)
                 arity = 2 if isinstance(node, Bin) else 1
                 key = node.op if arity == 2 else "neg" if isinstance(node, Neg) else node.func
                 if (key, arity) not in templates:
-                    if key not in ops:
-                        raise ExprEvalError(f"unknown operation {key!r}")
-                    fn = ops[key]
-                    templates[key, arity] = (_SYNTAX.get((fn, arity))
-                                             or f"{bind(fn)}({', '.join(['{}'] * arity)})")
+                    templates[key, arity] = template(key, arity)
                 args = values[-arity:]
                 del values[-arity:]
-                body.append(f"    s{len(values)} = {templates[key, arity].format(*args)}")
-                values.append(f"s{len(values)}")
-    source = "\n".join([f"def generated({', '.join(params)}):", *reads, *body,
+                code = templates[key, arity].format(*args)
+                if isinstance(node, Call) and args[0] not in slots:
+                    if (key, args[0]) not in calls:
+                        calls[key, args[0]] = f"{prefix}c{len(calls)}"
+                        body.append(f"{calls[key, args[0]]} = {code}")
+                    values.append(calls[key, args[0]])
+                else:
+                    slot = f"{prefix}s{len(values)}"
+                    slots.add(slot)
+                    body.append(f"{slot} = {code}")
+                    values.append(slot)
+    return reads + body, values
+
+
+def _generate(exprs, ops: Mapping[str, Callable], params: tuple, read: Callable) -> Callable:
+    """Compile ASTs into one straight-line Python function of ``params``.
+
+    The body is :func:`emit`'s lines, and the function returns the list of
+    the expressions' values. Literals and table entries are bound as values
+    in the function's namespace, which holds no builtins, and ``read(name)``
+    gives the code that reads variable ``name`` from ``params``.
+    """
+    namespace = {"__builtins__": {}}
+
+    def bind(value) -> str:
+        name = f"k{len(namespace) - 1}"
+        namespace[name] = value
+        return name
+
+    lines, values = emit([(expr, read) for expr in exprs], bind, ops=ops)
+    source = "\n".join([f"def generated({', '.join(params)}):", *(f"    {line}" for line in lines),
                         f"    return [{', '.join(values)}]", ""])
     exec(compile(source, "<exprlang>", "exec"), namespace)
     return namespace["generated"]

@@ -36,7 +36,9 @@ class Nonlinearity:
     once into that core, and once into one column function on the first
     :meth:`rows` call, the only one that needs it; a callable ``fn`` is
     the core itself, so it must follow this contract, and :meth:`rows`
-    calls it row by row.
+    calls it row by row. The simulator's generated stage spells small
+    expression components inline, through the emitter that writes
+    :attr:`point`, and calls :attr:`point` for a callable or larger f.
     Construction validates the triangular dependency structure, that f
     returns n values, and that the origin is an equilibrium for a grid of
     input values. Call it on one point; :meth:`rows` evaluates many points.

@@ -12,11 +12,12 @@ import pytest
 import scipy.linalg
 
 import ratstab as rs
-from ratstab import ddesim
+from ratstab import ddesim, exprlang
 from ratstab.ddesim import DIVERGENCE_GUARD, HistoryBuffer, _closed_loop
 from ratstab.errors import ConfigError, ContractViolation, DivergedError
 
 from conftest import BENCH_X0, BENCH_XHAT0
+from test_exprlang import _reference
 
 
 def test_scalar_delay_oracle():
@@ -394,18 +395,33 @@ F3_KINDS = {
     "registry": lambda: rs.make_nonlinearity("paper_example", 3),
     "expression": lambda: rs.make_nonlinearity(
         ["0.5*sin(x1) + 0.2*xd1*cos(u)", "tanh(x2*xd1) - 0.1*xd2", "0.3*sin(xd3)*tanh(x1) + 0.1*x3*xd2"], 3),
+    "every-function": lambda: rs.make_nonlinearity(
+        ["0.5*sin(x1) + 0.2*xd1*cos(u) - 0.1*xd1/(1 + abs(x1))",
+         "-0.1*xd2 + tanh(x2*xd1) + 0.05*ln(1 + x2^2)",
+         "0.1*tan(0.5*xd3) + 0.05*(sqrt(1 + x3*x3) - 1) - 0.02*(exp(x1) - 1)"], 3),
     "opaque": lambda: rs.Nonlinearity(3, fn=_opaque_f3),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(F3_KINDS))
-@pytest.mark.parametrize("scenario, u_ext", [pytest.param(s, None, id=s.value) for s in rs.Scenario] + [
-    pytest.param(rs.Scenario.OBSERVER, lambda t: math.sin(3.0 * t), id="observer-u_ext")])
-def test_run_scenario_matches_stepwise_loop(kind, scenario, u_ext):
-    # reference: per-block M @ z and one f call per block, integrated step by step
-    f = F3_KINDS[kind]()
-    gains = rs.GainSet(L=[-3.0, -3.0, -1.0], K=[-1.0, -3.0, -3.0], theta=2.0)
+def _walked(f):
+    """f(x, xd, u) of a Nonlinearity without generated code: expression components
+    by a recursive walk over exprlang's scalar table, a callable f through its call."""
+    if f.components is None:
+        return f
+
+    def value(x, xd, u):
+        env = {"u": u, **{f"x{i + 1}": v for i, v in enumerate(x.tolist())},
+               **{f"xd{i + 1}": v for i, v in enumerate(xd.tolist())}}
+        return np.array([_reference(component, env, exprlang._SCALAR_OPS) for component in f.components])
+
+    return value
+
+
+def _stepwise_loop(sys_spec, gains, scenario, x0, xhat0, h, horizon, u_ext=None):
+    """The stepwise reference of run_scenario's states: per-block M @ z and one walked
+    f per block, integrated step by step."""
     M, b, k, f_blocks = _closed_loop(scenario, gains)
+    f = _walked(sys_spec.f)
 
     def rhs(t, z, zd):
         u = _spelled_dot(k, z)
@@ -418,13 +434,25 @@ def test_run_scenario_matches_stepwise_loop(kind, scenario, u_ext):
             dz[block] += f(z[block], zd[block], u)
         return dz
 
+    phi = np.concatenate([x0, xhat0]) if scenario.has_observer else np.asarray(x0, dtype=float)
+    return _stepwise_integrate(rhs, phi, sys_spec.tau, h, horizon)
+
+
+def _states(traj):
+    return np.hstack([traj.x, traj.xhat]) if traj.xhat is not None else traj.x
+
+
+@pytest.mark.parametrize("kind", sorted(F3_KINDS))
+@pytest.mark.parametrize("scenario, u_ext", [pytest.param(s, None, id=s.value) for s in rs.Scenario] + [
+    pytest.param(rs.Scenario.OBSERVER, lambda t: math.sin(3.0 * t), id="observer-u_ext")])
+def test_run_scenario_matches_stepwise_loop(kind, scenario, u_ext):
+    # reference: per-block M @ z and f walked per block, integrated step by step
+    sys_spec = rs.SystemSpec(n=3, tau=0.1, f=F3_KINDS[kind](), lipschitz_k=1.0)
+    gains = rs.GainSet(L=[-3.0, -3.0, -1.0], K=[-1.0, -3.0, -3.0], theta=2.0)
     x0, xhat0 = np.array([0.8, -0.5, 0.3]), np.array([-0.4, 0.6, 0.1])
-    phi = np.concatenate([x0, xhat0]) if scenario.has_observer else x0
-    reference = _stepwise_integrate(rhs, phi, 0.1, 0.01, 1.0)
-    traj = rs.run_scenario(rs.SystemSpec(n=3, tau=0.1, f=f, lipschitz_k=1.0), gains, scenario,
-                           x0, xhat0, h=0.01, horizon=1.0, u_ext=u_ext)
-    states = np.hstack([traj.x, traj.xhat]) if scenario.has_observer else traj.x
-    assert np.array_equal(states, reference)
+    reference = _stepwise_loop(sys_spec, gains, scenario, x0, xhat0, 0.01, 1.0, u_ext)
+    traj = rs.run_scenario(sys_spec, gains, scenario, x0, xhat0, h=0.01, horizon=1.0, u_ext=u_ext)
+    assert np.array_equal(_states(traj), reference)
 
 
 _F3_GAINS = dict(L=[-3.0, -3.0, -1.0], K=[-1.0, -3.0, -3.0], theta=2.0)
@@ -454,6 +482,94 @@ def test_generated_block_equals_the_loop_as_a_plain_rhs(kind, scenario, u_ext, m
     assert np.array_equal(generated.u, hidden.u)
     if scenario.has_observer:
         assert np.array_equal(generated.xhat, hidden.xhat)
+
+
+def _over_the_inline_limit():
+    """A sum of literal multiples of x1: one operator node more than a stage spells inline."""
+    terms = ddesim._INLINE_NODES // 2 + 1  # a product per term and a sum between terms
+    return "+".join(f"{0.01 * (j + 1):g}*x1" for j in range(terms))
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "point"])
+def test_trig_of_an_overflowing_operand_diverges_with_the_reference(inline, monkeypatch):
+    # exp(700 x1) overflows to +inf once x1 passes 1.014; sin(inf) is nan, so the state is
+    # nan, in the generated stage and in the walk over the scalar table alike
+    monkeypatch.setattr(ddesim, "_INLINE_NODES", ddesim._INLINE_NODES if inline else -1)
+    sys_spec = rs.SystemSpec(n=3, tau=0.1, f=rs.make_nonlinearity(["0.1*x1*sin(exp(700*x1))", "0", "0"], 3),
+                             lipschitz_k=1.0)
+    args = (sys_spec, rs.GainSet(**_F3_GAINS), rs.Scenario.OPEN_LOOP, [0.8, 2.0, 0.0], None)
+    with pytest.raises(DivergedError) as expected:
+        _stepwise_loop(*args, h=0.01, horizon=1.0)
+    with pytest.raises(DivergedError) as err:
+        rs.run_scenario(*args, h=0.01, horizon=1.0)
+    assert err.value.time == expected.value.time and 0.05 < err.value.time < 0.5
+
+
+def _distinct_literal_text(tokens):
+    """A component of at most ``tokens`` tokens, a sum of bracketed 50-term chains with
+    one distinct literal per term: its tree stays under the height cap."""
+    group = lambda j: "(" + "+".join(f"{1e-7 * (50 * j + i + 1):.6e}*x1" for i in range(50)) + ")"
+    return "+".join(group(j) for j in range((tokens + 1) // 202))  # 201 tokens a group and a +
+
+
+_DEEPEST = "-" * 149 + "(x1" + "+x1" * 150 + ")"  # 300 levels, the most parse accepts
+
+
+@pytest.mark.parametrize("text, inline", [
+    pytest.param(_DEEPEST, False, id="deepest-point"),
+    pytest.param(_DEEPEST, True, id="deepest-inline"),
+    pytest.param(_distinct_literal_text(9_900), False, id="large-point"),
+])
+def test_deep_and_large_f_match_the_stepwise_reference(text, inline, monkeypatch):
+    tree = exprlang.parse(text)
+    if inline:  # no stage spells a 300-node f inline unless the limit admits it
+        monkeypatch.setattr(ddesim, "_INLINE_NODES", exprlang.operator_count(tree))
+    else:
+        assert exprlang.operator_count(tree) > ddesim._INLINE_NODES
+    sys_spec = rs.SystemSpec(n=2, tau=0.05, f=rs.Nonlinearity(2, components=[tree, exprlang.Num(0.0)]),
+                             lipschitz_k=1.0)
+    gains = rs.GainSet(L=[-3.0, -2.0], K=[-2.0, -3.0], theta=2.0)
+    x0, xhat0 = np.array([0.8, -0.5]), np.array([-0.4, 0.6])
+    scenario = rs.Scenario.OBSERVER_BASED
+    reference = _stepwise_loop(sys_spec, gains, scenario, x0, xhat0, 0.01, 0.2)
+    # trace the loop's compilation only: tracemalloc looks up the line of every float that
+    # a 5,000-line point allocates, which slows integration a thousandfold
+    integrate, peaks = ddesim.integrate, []
+
+    def untraced(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        return integrate(*args)
+
+    monkeypatch.setattr(ddesim, "integrate", untraced)
+    tracemalloc.start()
+    try:
+        traj = rs.run_scenario(sys_spec, gains, scenario, x0, xhat0, h=0.01, horizon=0.2)
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(_states(traj), reference)
+    # stages that call point compile at the cost of a small f; spelled inline, the large f
+    # peaked near 92 MB
+    assert inline or peaks[0] < 1e6
+
+
+@pytest.mark.parametrize("scenario", list(rs.Scenario), ids=lambda s: s.value)
+@pytest.mark.parametrize("kind, calls_per_stage", [("expression", 0), ("opaque", 1), ("over-limit", 1)])
+def test_point_is_called_only_for_a_callable_or_oversized_f(kind, calls_per_stage, scenario):
+    f = (rs.make_nonlinearity([_over_the_inline_limit(), "0", "0"], 3) if kind == "over-limit"
+         else F3_KINDS[kind]())
+    calls, point = [], f.point
+
+    def counted(*args):
+        calls.append(args)
+        return point(*args)
+
+    f.point = counted
+    sys_spec = rs.SystemSpec(n=3, tau=0.1, f=f, lipschitz_k=1.0)
+    rs.run_scenario(sys_spec, rs.GainSet(**_F3_GAINS), scenario, [0.8, -0.5, 0.3], [-0.4, 0.6, 0.1],
+                    h=0.01, horizon=1.0)
+    blocks = len(_closed_loop(scenario, rs.GainSet(**_F3_GAINS))[3])
+    assert len(calls) == calls_per_stage * 4 * blocks * 100
 
 
 def test_run_scenario_integrates_once_through_the_module_attribute(bench_system, bench_gains,

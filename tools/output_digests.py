@@ -9,7 +9,10 @@ that holds this file:
 - ``certify``, ``simulate`` and ``synthesize`` on the config of each member
   of the benchmark's sweep round of every SEED
   (``perfbench.workloads.sweep_config``);
-- ``repro-paper --theta 1e100``, which diverges.
+- ``repro-paper --theta 1e100``, which diverges;
+- ``simulate`` on ``EVERY_FUNCTION``, a config built here whose f uses every
+  function and operator of the expression language, and once more with
+  ``--theta 1e100``, where non-finite operands reach sin, cos and tan.
 
 Each run prints one line per stdout, stderr, exit code and written file.
 The scratch directory's path is masked in all of them, so ``diff`` of the
@@ -37,6 +40,20 @@ import workloads  # noqa: E402
 
 if Path(ratstab.__file__).resolve().parent != (ROOT / "src" / "ratstab").resolve():
     sys.exit(f"imported ratstab from {ratstab.__file__}, not from this checkout")
+
+
+# triangular, zero at the origin for every u; sin, cos, tan, tanh, exp, ln, sqrt, abs
+# and + - * / ^ (and a negation), in both blocks of the observer-based loop
+EVERY_FUNCTION = {
+    "system": {"n": 2, "tau": 0.5, "lipschitz_k": 1.0,
+               "f": ["0.5*sin(x1) - 0.2*xd1*cos(u) + 0.1*x1/(1 + abs(xd1))",
+                     "-0.1*tanh(x2) + 0.05*ln(1 + xd2^2) + 0.02*(exp(x1) - 1) - 0.1*tan(0.5*xd1)"
+                     " + 0.05*(sqrt(1 + x2*x2) - 1)"]},
+    "gains": {"L": [-3.0, -2.0], "K": [-2.0, -3.0], "theta": 2.0},
+    "sim": {"h": 0.005, "T": 5.0, "x0": [0.8, -0.5], "xhat0": [-0.4, 0.6]},
+    "scenario": {"mode": "observer_based"},
+    "output": {"emit_plots": True},
+}
 
 
 def _digest(data: bytes, work: Path) -> str:
@@ -72,6 +89,12 @@ def digests(seeds: list, work: Path) -> list:
     diverged = work / "diverged"
     lines += run("repro-paper-theta-1e100", ["repro-paper", "--theta", "1e100", "--out", str(diverged)],
                  work, diverged)
+    config = work / "every-function.json"
+    config.write_text(json.dumps(EVERY_FUNCTION))
+    for label, extra in (("every-function simulate", []), ("every-function-theta-1e100 simulate",
+                                                           ["--theta", "1e100"])):
+        out = work / label.split()[0]
+        lines += run(label, ["simulate", "--config", str(config), "--out", str(out), *extra], work, out)
     return lines
 
 
