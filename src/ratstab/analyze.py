@@ -12,6 +12,10 @@ from .ddesim import Trajectory
 from .errors import ContractViolation, OutputIOError
 
 CSV_DIGITS = 17  # significant digits; guarantees float round-trips
+# CSV rows formatted per write, by one % call; each row in flight holds its Python
+# floats and its text, so 1,024 rows raised repro-paper's peak RSS by about 0.9 MB
+# and 256 rows by under 0.1 MB, at the same speed (2-vCPU x86-64 VM, Python 3.11)
+_CSV_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -137,16 +141,27 @@ def csv_header(traj: Trajectory) -> list[str]:
     return [name for name, _ in _csv_columns(traj)]
 
 
+def _formatted_rows(row_format, columns, chunk: int, sep):
+    """row_format % row for each row of the columns, rows joined by sep, in pieces
+    of at most chunk rows: one % call on Python floats per piece. The formats
+    may be str or bytes."""
+    for lo in range(0, len(columns[0]), chunk):
+        values = np.stack([column[lo:lo + chunk] for column in columns], axis=1).ravel().tolist()
+        yield (sep if lo else sep[:0]) + sep.join([row_format] * (len(values) // len(columns))) % tuple(values)
+
+
 def emit_csv(traj: Trajectory, path) -> None:
-    """Write the trajectory as CSV: 17 significant digits, LF newlines."""
+    """Write the trajectory as CSV: 17 significant digits, LF newlines.
+
+    The file is ASCII and written as bytes: a text stream would encode each
+    piece into a second copy.
+    """
     names, columns = zip(*_csv_columns(traj))
-    header = ",".join(names)
-    row_format = ",".join([f"%.{CSV_DIGITS}g"] * len(columns)) + "\n"
+    row_format = (",".join([f"%.{CSV_DIGITS}g"] * len(columns)) + "\n").encode()
     try:
-        with open(path, "w", newline="\n") as handle:
-            handle.write(header + "\n")
-            for row in zip(*columns):
-                handle.write(row_format % row)
+        with open(path, "wb") as handle:
+            handle.write((",".join(names) + "\n").encode())
+            handle.writelines(_formatted_rows(row_format, columns, _CSV_CHUNK, b""))
     except OSError as exc:
         raise OutputIOError(f"cannot write CSV {path}: {exc}") from exc
 
@@ -182,7 +197,9 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _VIEW_W, _VIEW_H = 800, 500
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 20, 45
-_SVG_CHUNK = 4096  # polyline points formatted per write
+# polyline points formatted per write, by one % call; 4,096 points in flight took
+# repro-paper's peak RSS about 0.3 MB over 1,024, at the same speed
+_SVG_CHUNK = 1024
 
 
 def emit_plot(curves, path, log_y: bool = False, title: str = "") -> None:
@@ -265,9 +282,7 @@ def emit_plot(curves, path, log_y: bool = False, title: str = "") -> None:
             for idx, (label, px, py) in enumerate(curves):
                 color = _PALETTE[idx % len(_PALETTE)]
                 handle.write('<polyline points="')
-                for lo in range(0, len(px), _SVG_CHUNK):
-                    chunk = zip(px[lo:lo + _SVG_CHUNK].tolist(), py[lo:lo + _SVG_CHUNK].tolist())
-                    handle.write((" " if lo else "") + " ".join("%.2f,%.2f" % point for point in chunk))
+                handle.writelines(_formatted_rows("%.2f,%.2f", (px, py), _SVG_CHUNK, " "))
                 handle.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
                 handle.write(
                     f'<text x="{_MARGIN_L + plot_w - 8}" y="{_MARGIN_T + 16 + 14 * idx}" '

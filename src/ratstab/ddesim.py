@@ -42,7 +42,7 @@ closed loop's straight-line code or a call of a plain rhs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -116,13 +116,23 @@ class HistoryBuffer:
         self._filled = count
 
     def append(self, *rows):
-        """Store rows as the next nodes."""
-        self._states[self._filled:self._filled + len(rows)] = rows
-        self._filled += len(rows)
+        """Store rows as the next nodes: row vectors, or one flat sequence of whole rows."""
+        self._filled += self._store(self._states, self._filled, rows)
 
     def set_derivative(self, j: int, *rows):
-        """Store rows as the slopes of nodes j, j + 1, ..."""
-        self._derivs[j:j + len(rows)] = rows
+        """Store rows, given as append takes them, as the slopes of nodes j, j + 1, ..."""
+        self._store(self._derivs, j, rows)
+
+    @staticmethod
+    def _store(array: np.ndarray, j: int, rows: tuple) -> int:
+        """Write rows into array from row j by one flat assignment; returns their count."""
+        width = array.shape[1]
+        values = rows[0] if len(rows) == 1 else np.ravel(rows)
+        count, rest = divmod(len(values), width)
+        if rest:
+            raise ContractViolation(f"{len(values)} values are not whole rows of width {width}")
+        array.reshape(-1)[j * width:(j + count) * width] = values
+        return count
 
     def node(self, j: int) -> np.ndarray:
         if j < 0 or j >= self._filled:
@@ -211,8 +221,8 @@ def _rk4_block(width: int, stage: Callable, bound: dict) -> Callable:
 
     It starts from the state x, reads the delayed nodes start..stop from
     ``past`` and the delayed midpoints from ``mids``, and returns the new
-    states and the slopes at the steps' first nodes, as lists of rows of
-    floats. Its guard raises DivergedError as integrate documents.
+    states and the slopes at the steps' first nodes, each as one flat list
+    of floats, row after row. Its guard raises DivergedError as integrate documents.
     ``stage(time, z, zd, out)`` spells a stage: the lines, run on the values
     ``bound``, that set the floats ``out`` to the right-hand side at (time, z, zd).
     """
@@ -220,7 +230,7 @@ def _rk4_block(width: int, stage: Callable, bound: dict) -> Callable:
     step = [
         "t = i * h",
         *stage("t", x, d, k1),
-        f"slopes.append({_unpack(k1)})",
+        f"slopes += ({', '.join(k1)},)",
         *(f"{z[i]} = {x[i]} + half * {k1[i]}" for i in range(width)),
         *stage("t + half", z, c, k2),
         *(f"{z[i]} = {x[i]} + half * {k2[i]}" for i in range(width)),
@@ -232,7 +242,7 @@ def _rk4_block(width: int, stage: Callable, bound: dict) -> Callable:
         # nan or inf fails the comparison, so one test covers both checks
         f"if not sqrt({_total(f'{v} * {v}' for v in x)}) <= GUARD:",
         "    raise DivergedError((i + 1) * h)",
-        f"states.append({_unpack(x)})",
+        f"states += ({', '.join(x)},)",
     ]
     source = "\n".join([
         "def block(start, stop, x, past, mids, h):",
@@ -322,10 +332,10 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
         block = getattr(rhs, "block", None) or _called_block(rhs, width)
         for lo in range(0, steps, chunk):
             hi = min(lo + chunk, steps)
-            rows, slopes = block(lo, hi, buffer.node(m + lo).tolist(), buffer.states[lo:hi + 1].tolist(),
-                                 buffer.midpoints(lo, hi).tolist(), h)
-            buffer.append(*rows)
-            buffer.set_derivative(m + lo, *slopes)
+            states, slopes = block(lo, hi, buffer.node(m + lo).tolist(), buffer.states[lo:hi + 1].tolist(),
+                                   buffer.midpoints(lo, hi).tolist(), h)
+            buffer.append(states)
+            buffer.set_derivative(m + lo, slopes)
 
     t = np.arange(-m, steps + 1, dtype=float) * h
     return t, buffer.states
@@ -338,7 +348,8 @@ class Trajectory:
     ``x`` rows are plant states, ``xhat`` observer states when the scenario
     has one, ``u`` the control value applied at each node (zero on the
     history segment). ``theta`` is carried along so the scaled coordinates
-    can be reproduced.
+    can be reproduced. The arrays are not changed once it is made, so each
+    norm column is computed on its first request and then kept, read-only.
     """
 
     t: np.ndarray
@@ -348,6 +359,8 @@ class Trajectory:
     theta: float
     tau: float
     h: float
+    _norm_x: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _norm_err: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -366,12 +379,18 @@ class Trajectory:
         return j
 
     def norm_x(self) -> np.ndarray:
-        return np.linalg.norm(self.x, axis=1)
+        if self._norm_x is None:
+            self._norm_x = np.linalg.norm(self.x, axis=1)
+            self._norm_x.flags.writeable = False
+        return self._norm_x
 
     def norm_err(self) -> np.ndarray | None:
         if self.xhat is None:
             return None
-        return np.linalg.norm(self.xhat - self.x, axis=1)
+        if self._norm_err is None:
+            self._norm_err = np.linalg.norm(self.xhat - self.x, axis=1)
+            self._norm_err.flags.writeable = False
+        return self._norm_err
 
     def _scaling(self) -> np.ndarray:
         return self.theta ** -np.arange(self.n, dtype=float)

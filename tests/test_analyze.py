@@ -195,15 +195,31 @@ def test_csv_rows_match_per_value_formatting(tmp_path, with_observer):
     t = np.array([-0.2, -0.1, -0.0, 0.1, big, 5e-324])
     x = np.array([[-0.0, 5e-324], [np.inf, 1.0 / 3.0], [-np.inf, -2.5e-300],
                   [1e-5, -0.0], [0.1, 7.0], [123456789.0, -1e22]])
-    xhat = np.random.default_rng(3).normal(size=x.shape) if with_observer else None
+    rng = np.random.default_rng(3)
+    xhat = rng.normal(size=x.shape) if with_observer else None
     u = np.array([0.0, big, -big, np.nan, -0.0, 5e-324])
-    traj = Trajectory(t=t, x=x, xhat=xhat, u=u, theta=4.0, tau=0.2, h=0.1)
-    path = tmp_path / "special.csv"
-    analyze.emit_csv(traj, path)
-    data = path.read_bytes()
-    assert data == _per_value_csv(traj)
-    for text in (b"-0,", b"4.9406564584124654e-324", b"1.7976931348623157e+308", b",inf,", b",-inf,", b"nan"):
-        assert text in data
+    special = Trajectory(t=t, x=x, xhat=xhat, u=u, theta=4.0, tau=0.2, h=0.1)
+    # 3 * _CSV_CHUNK + 1 rows span several of emit_csv's writes, the last one short;
+    # the special rows sit at the start of the first chunk, inside a middle one and
+    # at the end of the last
+    rows = 3 * analyze._CSV_CHUNK + 1
+    t, u = rng.normal(size=(2, rows))
+    x = rng.normal(size=(rows, 2))
+    xhat = rng.normal(size=(rows, 2)) if with_observer else None
+    for start in (0, analyze._CSV_CHUNK + 100, rows - 6):
+        t[start:start + 6], x[start:start + 6], u[start:start + 6] = special.t, special.x, special.u
+        if with_observer:
+            xhat[start:start + 6] = special.xhat
+    chunked = Trajectory(t=t, x=x, xhat=xhat, u=u, theta=4.0, tau=0.2, h=0.1)
+    for traj in (special, chunked):
+        path = tmp_path / "special.csv"
+        analyze.emit_csv(traj, path)
+        data = path.read_bytes()
+        assert data == _per_value_csv(traj)
+        for text in (b"-0,", b"4.9406564584124654e-324", b"1.7976931348623157e+308", b",inf,", b",-inf,",
+                     b"nan"):
+            assert text in data
+    assert data.count(b"4.9406564584124654e-324") == 3 * 3  # in t, x and u of each placed block
 
 
 def test_benchmark_csv_roundtrip(tmp_path, bench_system, bench_gains):
@@ -215,6 +231,25 @@ def test_benchmark_csv_roundtrip(tmp_path, bench_system, bench_gains):
     assert np.array_equal(rows[:, 0], traj.t)
     assert np.array_equal(rows[:, 1:3], traj.x)
     assert np.array_equal(rows[:, 3:5], traj.xhat)
+
+
+def test_csv_memory_does_not_grow_with_the_formatted_rows(tmp_path):
+    # 100,001 rows with an observer: the file takes 16 MB, while emit_csv peaks at 5.6 MB
+    # (tracemalloc), the two norm columns it adds (0.8 MB each) and their temporaries;
+    # formatting every row in one call peaked at 57 MB
+    rows = 100_001
+    rng = np.random.default_rng(5)
+    x, xhat = rng.normal(size=(2, rows, 2))
+    traj = Trajectory(t=np.linspace(-1.0, 99.0, rows), x=x, xhat=xhat, u=rng.normal(size=rows),
+                      theta=4.0, tau=1.0, h=1e-3)
+    tracemalloc.start()
+    try:
+        analyze.emit_csv(traj, tmp_path / "long.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * traj.u.nbytes
+    assert (tmp_path / "long.csv").read_bytes().count(b"\n") == rows + 1
 
 
 def test_plot_deterministic(tmp_path):

@@ -455,6 +455,28 @@ def test_run_scenario_matches_stepwise_loop(kind, scenario, u_ext):
     assert np.array_equal(_states(traj), reference)
 
 
+@pytest.mark.parametrize("n, scenario", [(1, rs.Scenario.OPEN_LOOP), (4, rs.Scenario.OBSERVER_BASED)],
+                         ids=["width-1", "width-8"])
+def test_flat_row_hand_off_matches_the_stepwise_loop_at_every_width(n, scenario):
+    # the generated block hands integrate each chunk's states and slopes as flat lists, which
+    # HistoryBuffer stores as rows of the state's width: 1 for the open loop at n = 1, 8 with
+    # the observer at n = 4. m = 300 gives chunks of 256 steps, and 400 steps end mid-chunk
+    texts = ["0.5*sin(x1) + 0.2*xd1*cos(u)", "tanh(x2*xd1) - 0.1*xd2",
+             "0.3*sin(xd3)*tanh(x1) + 0.1*x3*xd2", "0.1*x4*cos(xd1) - 0.2*xd4"][:n]
+    sys_spec = rs.SystemSpec(n=n, tau=3.0, f=rs.make_nonlinearity(texts, n), lipschitz_k=1.0)
+    # companion gains with every pole at -1
+    gains = (rs.GainSet(L=[-1.0], K=[-1.0], theta=2.0) if n == 1 else
+             rs.GainSet(L=[-4.0, -6.0, -4.0, -1.0], K=[-1.0, -4.0, -6.0, -4.0], theta=2.0))
+    x0, xhat0 = np.array([0.8, -0.5, 0.3, 0.2][:n]), np.array([-0.4, 0.6, 0.1, -0.2][:n])
+    m, steps = 300, 400
+    assert steps % min(ddesim._BLOCK_CHUNK, m - 1) != 0
+    reference = _stepwise_loop(sys_spec, gains, scenario, x0, xhat0, 0.01, 4.0)
+    traj = rs.run_scenario(sys_spec, gains, scenario, x0, xhat0, h=0.01, horizon=4.0)
+    states = _states(traj)
+    assert states.shape == (m + steps + 1, 2 * n if scenario.has_observer else n)
+    assert np.all(np.isfinite(states)) and np.array_equal(states, reference)
+
+
 _F3_GAINS = dict(L=[-3.0, -3.0, -1.0], K=[-1.0, -3.0, -3.0], theta=2.0)
 _F3_CASES = [pytest.param(s, None, id=s.value) for s in rs.Scenario] + [
     pytest.param(rs.Scenario.OBSERVER, lambda t: math.sin(3.0 * t), id="observer-u_ext")]
