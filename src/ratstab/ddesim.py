@@ -2,19 +2,20 @@
 
 The integrator is the method of steps with classical fixed-step RK4. The
 delay must be an integer multiple m >= 2 of the step so that every
-breakpoint lands on a grid node; delayed stage values at half steps come
-from cubic Hermite interpolation on stored node states and node slopes,
-which keeps the scheme fourth order between breakpoints. Whole-step
-delayed lookups are node reads and therefore exact.
+breakpoint lands on a grid node. Whole-step delayed lookups are node
+reads and therefore exact. On the first delay interval, steps 0..m-1,
+the delayed state is the history itself, so the delayed half-step values
+are its samples at the segment midpoints of [-tau, 0]. From step m on
+they come from cubic Hermite interpolation on the stored node states and
+the slopes the loop stored there, which keeps the scheme fourth order
+between breakpoints; no Hermite value reads a slope of the history, so
+the jump of the first derivative at t = 0 needs no rule of its own.
 
-The grid is one HistoryBuffer, with its break at node m (t = 0). There the
-history's slope phi'(0) meets the loop's own, which step 0 stores at node
-m; the buffer keeps phi'(0) aside and serves it to the segment that ends
-at t = 0, the one place the break is handled. Step i sets the slope of
-node m + i, so a chunk of at most m - 1 steps reads only slopes set
-before it starts, and one Hermite call gives its delayed midpoints.
-integrate thus runs one loop over chunks of min(_BLOCK_CHUNK, m - 1)
-steps. Each midpoint depends only on its own segment, so the numbers are
+The grid is one HistoryBuffer. Step i sets the slope of node m + i, so a
+chunk of at most m - 1 steps reads only slopes set before it starts, and
+one Hermite call gives its delayed midpoints. integrate thus runs one
+loop over chunks of min(_BLOCK_CHUNK, m - 1) steps, none of which crosses
+step m. Each midpoint depends only on its own segment, so the numbers are
 those of one call per step, and the Python-float rows in flight do not
 grow with the delay; only the grid grows with the horizon.
 
@@ -65,10 +66,6 @@ _BLOCK_CHUNK = 256
 # blocks it paid off from about 2,500 steps (2-vCPU x86-64 VM, Python 3.11)
 _INLINE_NODES = 64
 
-# step used to differentiate the initial history function (it is a callable,
-# so the step is independent of the grid)
-_PHI_SLOPE_STEP_SCALE = 1e-5
-
 
 class Scenario(Enum):
     """Closed-loop configuration; decides which blocks are integrated."""
@@ -88,19 +85,14 @@ class HistoryBuffer:
     """Uniform-grid store of node states and node slopes for Hermite lookups.
 
     Node j is the time t0 + j h, and the slope stored there is its
-    right-hand derivative. The first derivative jumps at node break_index
-    (t = 0 for integrate, where the history's slope meets the loop's), so
-    the left-hand slope seeded there is kept aside, and :meth:`_hermite`
-    gives it to the segment that ends at the break.
+    right-hand derivative.
     """
 
-    def __init__(self, t0: float, h: float, capacity: int, width: int, break_index: int):
+    def __init__(self, t0: float, h: float, capacity: int, width: int):
         self.t0 = float(t0)
         self.h = float(h)
         self._states = np.empty((capacity, width))
         self._derivs = np.full((capacity, width), np.nan)  # a slope read before it is set is nan
-        self._break_index = break_index
-        self._break_left_slope = np.zeros(width)
         self._filled = 0
 
     @property
@@ -111,8 +103,6 @@ class HistoryBuffer:
         count = values.shape[0]
         self._states[:count] = values
         self._derivs[:count] = slopes
-        if 0 <= self._break_index < count:
-            self._break_left_slope = slopes[self._break_index].copy()
         self._filled = count
 
     def append(self, *rows):
@@ -143,21 +133,16 @@ class HistoryBuffer:
         """Cubic Hermite values at fraction lam of segments start..stop-1.
 
         Segment j spans [node j, node j+1]; row r of the result belongs to
-        segment start + r. Every slope the range reads must already be set;
-        the segment that ends at the break reads the seeded left-hand slope.
+        segment start + r. Every slope the range reads must already be set.
         """
         if start < 0 or stop <= start or stop >= self._filled:
             raise ContractViolation(f"segments {start}..{stop - 1} outside stored history")
-        right_slope = self._derivs[start + 1:stop + 1]
-        if start < self._break_index <= stop:
-            right_slope = right_slope.copy()
-            right_slope[self._break_index - start - 1] = self._break_left_slope
         h00 = (1.0 + 2.0 * lam) * (1.0 - lam) ** 2
         h10 = lam * (1.0 - lam) ** 2
         h01 = lam * lam * (3.0 - 2.0 * lam)
         h11 = lam * lam * (lam - 1.0)
         return (h00 * self._states[start:stop] + self.h * h10 * self._derivs[start:stop]
-                + h01 * self._states[start + 1:stop + 1] + self.h * h11 * right_slope)
+                + h01 * self._states[start + 1:stop + 1] + self.h * h11 * self._derivs[start + 1:stop + 1])
 
     def midpoints(self, start: int, stop: int) -> np.ndarray:
         """Hermite midpoints of segments start..stop-1, one row per segment."""
@@ -281,61 +266,56 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
     phi is a constant vector or a callable on [-tau, 0]; its value at 0 is
     the initial state. Returns (t, states) on the uniform grid covering
     [-tau, horizon], history included. Raises DivergedError at the first
-    node whose state is non-finite or larger than the guard. The grid is a
-    :class:`HistoryBuffer` with its break at node m = tau / h (t = 0), and
-    a generated function (see :func:`_rk4_block`) takes the steps in chunks
-    of min(_BLOCK_CHUNK, m - 1): the ``block`` that rhs carries when it is
-    a generated closed loop (see :func:`_compile_loop`), else one that
-    calls rhs four times per step.
+    node whose state is non-finite or larger than the guard. A callable phi
+    is called 2m + 2 times, m = tau / h: once at 0 to probe its length, then
+    at the m + 1 nodes and the m segment midpoints of [-tau, 0]; a constant
+    is never called. Any non-finite sample is a ConfigError. Steps 0..m-1
+    take their delayed midpoints from those samples, later steps from the
+    :class:`HistoryBuffer` that holds the grid. A generated function (see
+    :func:`_rk4_block`) takes the steps in chunks of min(_BLOCK_CHUNK, m - 1):
+    the ``block`` that rhs carries when it is a generated closed loop (see
+    :func:`_compile_loop`), else one that calls rhs four times per step.
     """
     m, steps = _grid_layout(tau, h, horizon)
     history, width = _as_history_fn(phi)
 
     nodes = m + steps + 1
     try:
-        buffer = HistoryBuffer(-tau, h, nodes, width, break_index=m)
+        buffer = HistoryBuffer(-tau, h, nodes, width)
     except ValueError as exc:  # numpy's dimension limit, not a memory shortage
         raise ConfigError(f"a grid of {nodes:.3g} nodes exceeds numpy's array size limit") from exc
     except MemoryError as exc:
         raise ConfigError(f"a grid of {nodes:.3g} nodes does not fit in memory") from exc
 
-    def sample(times: np.ndarray) -> np.ndarray:
-        """One row per time: a constant is broadcast, uncalled; a callable gets Python floats."""
-        if not callable(history):
-            return np.broadcast_to(history, (len(times), width))
-        rows = np.empty((len(times), width))
-        for i, s in enumerate(times.tolist()):
-            rows[i] = history(s)
-        return rows
-
-    times = -tau + np.arange(m + 1) * h
-    values = sample(times)
-    if not np.all(np.isfinite(values)):
+    # the 2m + 1 half-step times of [-tau, 0]: even rows are the nodes, odd rows the
+    # midpoints of their segments, which are steps 0..m-1's delayed midpoints; a
+    # constant is broadcast, uncalled, and a callable gets Python floats
+    times = (-tau + np.arange(2 * m + 1) * (0.5 * h)).tolist()
+    if callable(history):
+        samples = np.empty((len(times), width))
+        for i, s in enumerate(times):
+            samples[i] = history(s)
+    else:
+        samples = np.broadcast_to(history, (len(times), width))
+    if not np.all(np.isfinite(samples)):
         raise ConfigError("initial history contains non-finite values")
+    buffer.append(samples[::2].ravel())
+    history_midpoints = samples[1::2]
 
     # numpy stays silent on overflow: only the divergence guard reports it
     with np.errstate(all="ignore"):
-        # slopes of the history: central differences inside, one-sided second-order
-        # stencils at the ends, step capped by h so no sample leaves [-tau, 0]
-        delta = min(_PHI_SLOPE_STEP_SCALE * max(1.0, tau), h)
-        plus, minus = sample(times[:-1] + delta), sample(times[1:] - delta)
-        ends = sample(np.array([times[0] + 2 * delta, times[m] - 2 * delta]))
-        slopes = np.empty((m + 1, width))
-        slopes[0] = (-3.0 * values[0] + 4.0 * plus[0] - ends[0]) / (2 * delta)
-        slopes[1:m] = (plus[1:] - minus[:-1]) / (2 * delta)
-        slopes[m] = (3.0 * values[m] - 4.0 * minus[-1] + ends[1]) / (2 * delta)
-        buffer.seed(values, slopes)
-        del values, slopes, plus, minus
-
-        # step i sets node m + i's slope: a chunk of at most m - 1 steps reads none of its own
+        # step i sets node m + i's slope: a chunk of at most m - 1 steps reads none of its own,
+        # and no chunk crosses step m, the first to take Hermite midpoints
         chunk = min(_BLOCK_CHUNK, m - 1)
         block = getattr(rhs, "block", None) or _called_block(rhs, width)
-        for lo in range(0, steps, chunk):
-            hi = min(lo + chunk, steps)
-            states, slopes = block(lo, hi, buffer.node(m + lo).tolist(), buffer.states[lo:hi + 1].tolist(),
-                                   buffer.midpoints(lo, hi).tolist(), h)
-            buffer.append(states)
-            buffer.set_derivative(m + lo, slopes)
+        for first, last in ((0, min(m, steps)), (m, steps)):
+            for lo in range(first, last, chunk):
+                hi = min(lo + chunk, last)
+                mids = history_midpoints[lo:hi] if lo < m else buffer.midpoints(lo, hi)
+                states, slopes = block(lo, hi, buffer.node(m + lo).tolist(),
+                                       buffer.states[lo:hi + 1].tolist(), mids.tolist(), h)
+                buffer.append(states)
+                buffer.set_derivative(m + lo, slopes)
 
     t = np.arange(-m, steps + 1, dtype=float) * h
     return t, buffer.states

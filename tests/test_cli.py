@@ -172,6 +172,16 @@ def test_simulate_expression_history(tmp_path):
     assert rows[i0, 1] == pytest.approx(1.0, abs=1e-12)  # phi(0) = 1
 
 
+def test_simulate_history_not_finite_between_nodes(tmp_path, capsys):
+    # sqrt of a negative is nan only for |t + 0.995| < 0.001, inside the first segment
+    # [-1, -0.99]: every node is finite, the segment's midpoint is not
+    cfg = base_config(tmp_path / "out", **{"scenario.mode": "state_feedback",
+                                           "sim.history": {"x": ["sqrt(abs(t + 0.995) - 0.001)", "0"]}})
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["simulate", "--config", path]) == 2
+    assert capsys.readouterr().err == "error: initial history contains non-finite values\n"
+
+
 def test_simulate_observer_requires_xhat0(tmp_path, capsys):
     cfg = base_config(tmp_path / "out", **{"sim.xhat0": None})
     path = write_config(tmp_path, cfg)

@@ -73,7 +73,7 @@ def test_divergence_guard():
 
 
 def test_history_buffer_node_reads_are_exact():
-    buf = HistoryBuffer(t0=-1.0, h=0.5, capacity=8, width=1, break_index=2)
+    buf = HistoryBuffer(t0=-1.0, h=0.5, capacity=8, width=1)
     values = np.array([[1.0], [2.0], [4.0]])
     slopes = np.array([[0.5], [0.5], [0.5]])
     buf.seed(values, slopes)
@@ -87,7 +87,7 @@ def test_history_buffer_hermite_reproduces_cubics():
     # values/slopes from x(t) = t^3 - 2t: the cubic interpolant is exact
     h = 0.25
     ts = np.array([0.0, h])
-    buf = HistoryBuffer(t0=0.0, h=h, capacity=4, width=1, break_index=0)
+    buf = HistoryBuffer(t0=0.0, h=h, capacity=4, width=1)
     buf.seed(np.array([[v**3 - 2 * v] for v in ts]), np.array([[3 * v**2 - 2] for v in ts]))
     for frac in (0.25, 0.5, 0.7):
         s = frac * h
@@ -165,6 +165,17 @@ def test_self_convergence_scalar_nonlinear():
         _, xs = rs.integrate(lambda t, x, xd: x * (1.0 - xd), np.array([0.5]),
                              tau=1.0, h=h, horizon=3.0)
         ends[h] = xs[-1]
+    d1 = np.linalg.norm(ends[0.02] - ends[0.01])
+    d2 = np.linalg.norm(ends[0.01] - ends[0.005])
+    assert d1 / d2 >= 12.0
+
+
+def test_self_convergence_across_the_slope_jump_at_zero():
+    # phi'(0) = [2, 0] differs from x'(0+) = -2 phi(-1)[::-1] + sin(phi(0)), so the first
+    # derivative jumps at t = 0; the scheme stays fourth order across it
+    phi = lambda s: np.array([math.cos(3 * s) + 2 * s, 1 - s * s])
+    rhs = lambda t, x, xd: -2 * xd[::-1] + np.sin(x) * math.cos(t)
+    ends = {h: rs.integrate(rhs, phi, tau=1.0, h=h, horizon=3.0)[1][-1] for h in (0.02, 0.01, 0.005)}
     d1 = np.linalg.norm(ends[0.02] - ends[0.01])
     d2 = np.linalg.norm(ends[0.01] - ends[0.005])
     assert d1 / d2 >= 12.0
@@ -253,36 +264,28 @@ def test_observer_scenario_requires_history(bench_system, bench_gains):
 
 
 def _stepwise_integrate(rhs, phi, tau, h, horizon):
-    """Reference method of steps on its own arrays: one Hermite midpoint per
-    step, by the weights written out, with the history's own slope phi'(0) on
-    the segment that ends at t = 0; the factor (h / 6.0) inside the update;
-    and the divergence guard as two checks (non-finite entries, then the
-    Euclidean norm). integrate must return the same bits and raise at the
-    same time."""
+    """Reference method of steps on its own arrays: for steps 0..m-1 the
+    delayed midpoint is phi at that time, after that one Hermite midpoint
+    per step, by the weights written out, on the slopes the steps stored;
+    the factor (h / 6.0) inside the update; and the divergence guard as two
+    checks (non-finite entries, then the Euclidean norm). integrate must
+    return the same bits and raise at the same time."""
     m, steps = int(round(tau / h)), int(round(horizon / h))
     history = phi if callable(phi) else (lambda s: np.asarray(phi, dtype=float))
     width = len(history(0.0))
-    nodes = [-tau + j * h for j in range(m + 1)]
-    states, derivs = np.empty((m + steps + 1, width)), np.empty((m + steps + 1, width))
-    states[:m + 1] = [history(s) for s in nodes]
-    delta = min(1e-5 * max(1.0, tau), h)
-    for j, s in enumerate(nodes):
-        if j == 0:
-            derivs[j] = (-3.0 * history(s) + 4.0 * history(s + delta) - history(s + 2 * delta)) / (2 * delta)
-        elif j == m:
-            derivs[j] = (3.0 * history(s) - 4.0 * history(s - delta) + history(s - 2 * delta)) / (2 * delta)
-        else:
-            derivs[j] = (history(s + delta) - history(s - delta)) / (2 * delta)
-    phi_slope_at_0 = derivs[m].copy()  # step 0 overwrites node m's slope with the loop's
+    states, derivs = np.empty((m + steps + 1, width)), np.full((m + steps + 1, width), np.nan)
+    states[:m + 1] = [history(-tau + j * h) for j in range(m + 1)]
     half = 0.5 * h
     for i in range(steps):
         t = i * h
         x = states[m + i]
         k1 = np.asarray(rhs(t, x, states[i]), dtype=float)
         derivs[m + i] = k1
-        right_slope = phi_slope_at_0 if i == m - 1 else derivs[i + 1]
-        x_mid_delayed = (0.5 * states[i] + h * 0.125 * derivs[i]
-                         + 0.5 * states[i + 1] + h * -0.125 * right_slope)
+        if i < m:
+            x_mid_delayed = np.asarray(history(-tau + (i + 0.5) * h), dtype=float)
+        else:
+            x_mid_delayed = (0.5 * states[i] + h * 0.125 * derivs[i]
+                             + 0.5 * states[i + 1] + h * -0.125 * derivs[i + 1])
         k2 = np.asarray(rhs(t + half, x + half * k1, x_mid_delayed), dtype=float)
         k3 = np.asarray(rhs(t + half, x + half * k2, x_mid_delayed), dtype=float)
         k4 = np.asarray(rhs(t + h, x + h * k3, states[i + 1]), dtype=float)
@@ -374,7 +377,7 @@ def test_run_scenario_takes_u_from_a_view_of_the_states(bench_system, bench_gain
 def test_history_buffer_takes_several_rows_a_call():
     rng = np.random.default_rng(3)
     values, slopes = rng.normal(size=(2, 6, 2))
-    one, several = (HistoryBuffer(t0=0.0, h=0.1, capacity=8, width=2, break_index=2) for _ in range(2))
+    one, several = (HistoryBuffer(t0=0.0, h=0.1, capacity=8, width=2) for _ in range(2))
     for buf in (one, several):
         buf.seed(values[:3], slopes[:3])
     for row, slope in zip(values[3:], slopes[3:]):
@@ -384,6 +387,15 @@ def test_history_buffer_takes_several_rows_a_call():
     several.set_derivative(3, *slopes[3:].tolist())
     assert np.array_equal(several.states, values) and np.array_equal(one.states, values)
     assert np.array_equal(several.midpoints(0, 5), one.midpoints(0, 5))
+
+
+def test_history_buffer_rejects_partial_rows():
+    buf = HistoryBuffer(t0=0.0, h=0.1, capacity=8, width=2)
+    with pytest.raises(ContractViolation, match="3 values are not whole rows of width 2"):
+        buf.append([1.0, 2.0, 3.0])
+    with pytest.raises(ContractViolation, match="3 values are not whole rows of width 2"):
+        buf.set_derivative(0, [1.0, 2.0, 3.0])
+    assert len(buf.states) == 0
 
 
 def _opaque_f3(x, xd, u):
@@ -653,8 +665,8 @@ def test_trajectories_are_the_same_under_every_blas_kernel(tmp_path):
 
 @pytest.mark.parametrize("tau, h", [(1.0, 0.05), (0.02, 0.01)], ids=["m=20", "m=2"])
 def test_integrate_matches_stepwise_loop_with_callable_history(tau, h):
-    # phi'(0) = 2 differs from the right-hand side at t = 0, so the first
-    # derivative jumps at node m and its left slope enters the midpoints
+    # phi'(0) = 2 differs from the right-hand side at t = 0, so the first derivative
+    # jumps at node m, where the midpoints taken from phi give way to Hermite ones
     phi = lambda s: np.array([math.cos(3.0 * s) + 2.0 * s])
     rhs = lambda t, x, xd: -2.0 * xd + np.sin(x)
     reference = _stepwise_integrate(rhs, phi, tau, h, 3.0)
@@ -666,10 +678,10 @@ def test_integrate_matches_stepwise_loop_with_callable_history(tau, h):
                                              for steps in (m - 1, m, m + 1, 2 * m - 1, 2 * m)}
                                             | {(257, 600), (258, 600)}))
 def test_integrate_matches_stepwise_loop_at_the_block_edges(m, steps):
-    # chunks of min(_BLOCK_CHUNK, m - 1) steps; step m - 1 reads the segment that ends at
-    # t = 0, where phi'(0) = 2 differs from the right-hand side, as in the test above.
-    # At m = 257 that step is a chunk's first row, at m = 258 its second; 600 steps
-    # leave a ragged last chunk
+    # chunks of min(_BLOCK_CHUNK, m - 1) steps, none across step m; step m - 1 is the
+    # last to take its delayed midpoint from phi, whose phi'(0) = 2 differs from the
+    # right-hand side, as in the test above. At m = 257 that step is a chunk's first row,
+    # at m = 258 its second; 600 steps leave a ragged last chunk
     assert ddesim._BLOCK_CHUNK == 256
     phi = lambda s: np.array([math.cos(3.0 * s) + 2.0 * s, 1.0 - s * s])
     rhs = lambda t, x, xd: -2.0 * xd + np.sin(x)
@@ -690,8 +702,8 @@ def test_integrate_calls_the_right_hand_side_four_times_per_step():
     assert len(calls) == 4 * 50
 
 
-def test_integrate_samples_a_callable_history_3m_plus_3_times_after_its_probe():
-    # m + 1 nodes, m nodes shifted by +delta, m by -delta and the two far end points
+def test_integrate_samples_a_callable_history_2m_plus_1_times_after_its_probe():
+    # the m + 1 nodes and the m segment midpoints of [-tau, 0]
     calls = []
 
     def phi(s):
@@ -700,28 +712,20 @@ def test_integrate_samples_a_callable_history_3m_plus_3_times_after_its_probe():
 
     m, h = 20, 0.01
     rs.integrate(lambda t, x, xd: -xd, phi, tau=m * h, h=h, horizon=0.1)
-    assert calls[0] == 0.0 and len(calls) == 1 + 3 * m + 3
+    assert calls[0] == 0.0 and len(calls) == 1 + 2 * m + 1
     assert -m * h - 1e-9 < min(calls) and max(calls) < 1e-9  # no sample leaves [-tau, 0]
 
 
-# 3 * 0.1 is inexact, so the one-sided end stencils give this constant nonzero slopes
+# inexact in binary (3 * 0.1 != 0.3), so arithmetic on its samples would show in the bits
 _INEXACT_CONSTANT = np.array([0.1, -0.7, 0.3])
 
 
-def test_constant_and_callable_histories_give_the_same_bits(monkeypatch):
-    seeded, seed = [], HistoryBuffer.seed
-
-    def spy(buffer, values, slopes):
-        seeded.append(slopes.copy())
-        return seed(buffer, values, slopes)
-
-    monkeypatch.setattr(HistoryBuffer, "seed", spy)
+def test_constant_and_callable_histories_give_the_same_bits():
     rhs = lambda t, x, xd: -2.0 * xd[::-1] + np.sin(x)
     _, constant = rs.integrate(rhs, _INEXACT_CONSTANT, tau=0.1, h=0.01, horizon=1.0)
     _, called = rs.integrate(rhs, lambda s: _INEXACT_CONSTANT.tolist(), tau=0.1, h=0.01, horizon=1.0)
     assert np.array_equal(constant, called)
     assert np.array_equal(constant, _stepwise_integrate(rhs, _INEXACT_CONSTANT, 0.1, 0.01, 1.0))
-    assert np.array_equal(seeded[0], seeded[1]) and np.any(seeded[0][[0, -1]] != 0.0)
 
 
 @pytest.mark.parametrize("scenario", list(rs.Scenario), ids=lambda s: s.value)
@@ -776,7 +780,7 @@ def test_plain_rhs_gets_float_vectors_and_may_return_any_broadcastable_slope(sha
 def test_block_midpoints_equal_single_segments_across_break():
     m, width = 6, 2
     rng = np.random.default_rng(7)
-    buf = HistoryBuffer(t0=-0.6, h=0.1, capacity=3 * m, width=width, break_index=m)
+    buf = HistoryBuffer(t0=-0.6, h=0.1, capacity=3 * m, width=width)
     values, slopes = rng.normal(size=(m + 1, width)), rng.normal(size=(m + 1, width))
     buf.seed(values, slopes)
     for j in range(m, 2 * m):
@@ -787,12 +791,6 @@ def test_block_midpoints_equal_single_segments_across_break():
         assert block.shape == (stop - start, width)
         for row, j in enumerate(range(start, stop)):
             assert np.array_equal(block[row], buf.segment_midpoint(j))
-    # the segment ending at the break uses the history's own slope there,
-    # not the right-hand side's slope that step 0 stored at node m
-    h = buf.h
-    by_hand = (0.5 * values[m - 1] + h * 0.125 * slopes[m - 1]
-               + 0.5 * values[m] + h * -0.125 * slopes[m])
-    assert np.array_equal(buf.midpoints(m - 1, m)[0], by_hand)
     with pytest.raises(ContractViolation):
         buf.midpoints(m + 1, 2 * m + 1)  # its last segment ends past the stored nodes
     with pytest.raises(ContractViolation):
@@ -838,6 +836,22 @@ def test_divergence_guard_admits_the_guard_itself():
     _, states = rs.integrate(rhs, phi, tau=0.2, h=0.01, horizon=0.5)
     assert np.array_equal(states, _stepwise_integrate(rhs, phi, 0.2, 0.01, 0.5))
     assert np.all(states == DIVERGENCE_GUARD)
+
+
+def test_history_not_finite_between_nodes_is_a_config_error(bench_system, bench_gains):
+    # nan only inside the first segment: every node is finite, its midpoint is not
+    tau, h = 0.2, 0.01
+    calls = []
+
+    def phi(s):
+        calls.append(s)
+        return [math.nan if -tau < s < -tau + h else 0.0]
+
+    with pytest.raises(ConfigError, match="initial history contains non-finite values"):
+        rs.integrate(lambda t, x, xd: -xd, phi, tau=tau, h=h, horizon=1.0)
+    assert any(-tau < s < -tau + h for s in calls)
+    with pytest.raises(ConfigError, match="history function must return length-2 vectors"):
+        rs.run_scenario(bench_system, bench_gains, rs.Scenario.STATE_FEEDBACK, lambda s: [0.0, 0.0, 0.0])
 
 
 def test_grid_beyond_memory_is_a_config_error():
