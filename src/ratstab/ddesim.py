@@ -292,9 +292,14 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
     # constant is broadcast, uncalled, and a callable gets Python floats
     times = (-tau + np.arange(2 * m + 1) * (0.5 * h)).tolist()
     if callable(history):
-        samples = np.empty((len(times), width))
-        for i, s in enumerate(times):
-            samples[i] = history(s)
+        values = [history(s) for s in times]
+        wrong_length = ConfigError(f"history function must return length-{width} vectors")
+        try:
+            samples = np.array(values, dtype=float)
+        except ValueError as exc:  # vectors of different lengths
+            raise wrong_length from exc
+        if samples.shape != (len(times), width):
+            raise wrong_length
     else:
         samples = np.broadcast_to(history, (len(times), width))
     if not np.all(np.isfinite(samples)):

@@ -267,6 +267,27 @@ class SystemSpec:
 # probe step for difference quotients; fixed so that nested boxes see identical probes
 _FD_STEP = 1e-6
 
+# each axis sweep runs the grid from every anchor at every input value
+_SWEEP_NODES = 201
+_SWEEP_U = (-1.0, 0.0, 1.0)
+
+
+def _norm(d: np.ndarray) -> np.ndarray:
+    # Euclidean norm over the last axis, folded column by column with hypot (the
+    # bits of np.hypot.reduce, without its per-row inner loop): nothing is squared
+    acc = np.abs(d[..., 0])
+    for j in range(1, d.shape[-1]):
+        acc = np.hypot(acc, d[..., j])
+    return acc
+
+
+def _top_quotient(fp: np.ndarray, fq: np.ndarray, gap: np.ndarray) -> float:
+    # largest |f(p) - f(q)| / |p - q| over the rows, given f(p), f(q) and |p - q|;
+    # p = q reads 0, nan (f not finite) reads inf
+    with np.errstate(all="ignore"):
+        ratio = _norm(fp - fq) / np.where(gap == 0.0, np.inf, gap)
+    return float(np.max(np.where(np.isnan(ratio), np.inf, ratio)))
+
 
 def estimate_lipschitz(f: Nonlinearity, box: Sequence, samples: int = 2000, seed: int = 0) -> float:
     """Sampled lower bound on the Lipschitz constant of f over a box.
@@ -274,8 +295,13 @@ def estimate_lipschitz(f: Nonlinearity, box: Sequence, samples: int = 2000, seed
     Takes the maximum difference quotient |f(p) - f(q)| / |p - q| over
     random point pairs, random finite-difference probes and per-axis grid
     sweeps (both x and delayed-x coordinates range over the box, the input
-    u over a fixed grid). f is evaluated on batches of probe rows, at most
-    ``max(samples, 201)`` rows each, through :meth:`Nonlinearity.rows`.
+    u over a fixed grid). A finite-difference probe and a sweep's
+    neighbouring nodes differ in one coordinate, so their |p - q| is that
+    coordinate's step, taken exactly. f is evaluated through
+    :meth:`Nonlinearity.rows` on batches of probe rows, at most
+    ``max(samples, 1809)`` rows each: a sweep along one axis takes its
+    3 anchors x 3 inputs x 201 nodes in one batch and their
+    finite-difference partners in another.
     Deterministic for a fixed seed, which must be >= 0. This is advisory:
     a true Lipschitz constant is at least the returned value, which is inf
     when f is not finite at some probe.
@@ -294,40 +320,41 @@ def estimate_lipschitz(f: Nonlinearity, box: Sequence, samples: int = 2000, seed
     def value(points: np.ndarray, u) -> np.ndarray:
         return f.rows(points[:, :n], points[:, n:], np.broadcast_to(u, len(points)))
 
-    def top_quotient(p: np.ndarray, q: np.ndarray, fp: np.ndarray, fq: np.ndarray) -> float:
-        # largest |f(p) - f(q)| / |p - q| over the rows; p = q is 0, nan (f not finite) is inf
-        with np.errstate(all="ignore"):
-            gap = np.hypot.reduce(p - q, axis=1)
-            ratio = np.hypot.reduce(fp - fq, axis=1) / np.where(gap == 0.0, np.inf, gap)
-        return float(np.max(np.where(np.isnan(ratio), np.inf, ratio)))
-
-    def fd_partner(p: np.ndarray, axis) -> np.ndarray:
-        # p moved by _FD_STEP along its axis, inward at the upper edge
-        rows = np.arange(len(p))
-        q = p.copy()
-        q[rows, axis] += np.where(p[rows, axis] + _FD_STEP <= hi[axis], _FD_STEP, -_FD_STEP)
-        return q
+    def fd_partner(x: np.ndarray, axis) -> np.ndarray:
+        # coordinate x moved by _FD_STEP along its axis, inward at the upper edge
+        return x + np.where(x + _FD_STEP <= hi[axis], _FD_STEP, -_FD_STEP)
 
     # the same stream as drawing p, q per sample, then one p per sample, then the anchors
     u_cycle = np.resize(np.asarray(U_ZERO_GRID), samples)
     pairs = lo + rng.random((samples, 2, 2 * n)) * width
     p, q = pairs[:, 0], pairs[:, 1]
-    best = top_quotient(p, q, value(p, u_cycle), value(q, u_cycle))
+    with np.errstate(over="ignore"):  # a gap past the largest double is inf
+        gap = _norm(p - q)
+    best = _top_quotient(value(p, u_cycle), value(q, u_cycle), gap)
 
+    rows = np.arange(samples)
+    axis = rows % (2 * n)
     p = lo + rng.random((samples, 2 * n)) * width
-    q = fd_partner(p, np.arange(samples) % (2 * n))
-    best = max(best, top_quotient(p, q, value(p, u_cycle), value(q, u_cycle)))
+    q = p.copy()
+    x = p[rows, axis]
+    q[rows, axis] = moved = fd_partner(x, axis)
+    best = max(best, _top_quotient(value(p, u_cycle), value(q, u_cycle), np.abs(x - moved)))
 
-    # per-axis sweeps from fixed anchors, probing each grid node inward at edges
-    anchors = [0.5 * (lo + hi)] + [lo + rng.random(2 * n) * width for _ in range(2)]
-    grid_points = 201
+    # per-axis sweeps from fixed anchors, probing each grid node inward at edges: one
+    # batch per axis, laid out (anchor, u, node); every pair differs along axis c only,
+    # so its gap is a step of the grid or to the partner
+    anchors = np.array([0.5 * (lo + hi)] + [lo + rng.random(2 * n) * width for _ in range(2)])
+    starts = np.repeat(anchors, len(_SWEEP_U), axis=0)[:, None, :]
+    u = np.repeat(np.tile(_SWEEP_U, len(anchors)), _SWEEP_NODES)
     for c in range(2 * n):
-        for anchor in anchors:
-            p = np.tile(anchor, (grid_points, 1))
-            p[:, c] = np.linspace(lo[c], hi[c], grid_points)
-            q = fd_partner(p, c)
-            for u in (-1.0, 0.0, 1.0):
-                fp = value(p, u)
-                best = max(best, top_quotient(p[1:], p[:-1], fp[1:], fp[:-1]))  # adjacent nodes
-                best = max(best, top_quotient(p, q, fp, value(q, u)))
+        grid = np.linspace(lo[c], hi[c], _SWEEP_NODES)
+        partner = fd_partner(grid, c)
+        p = np.repeat(starts, _SWEEP_NODES, axis=1)
+        q = p.copy()
+        p[:, :, c] = grid
+        q[:, :, c] = partner
+        fp = value(p.reshape(-1, 2 * n), u).reshape(len(starts), _SWEEP_NODES, n)
+        fq = value(q.reshape(-1, 2 * n), u).reshape(fp.shape)
+        best = max(best, _top_quotient(fp[:, 1:], fp[:, :-1], np.abs(grid[1:] - grid[:-1])),
+                   _top_quotient(fp, fq, np.abs(grid - partner)))
     return best

@@ -854,6 +854,17 @@ def test_history_not_finite_between_nodes_is_a_config_error(bench_system, bench_
         rs.run_scenario(bench_system, bench_gains, rs.Scenario.STATE_FEEDBACK, lambda s: [0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("later", [[3.0], [3.0, 4.0, 5.0]], ids=["shorter", "longer"])
+def test_history_of_the_wrong_length_after_its_probe_is_a_config_error(later):
+    # the probe phi(0) has the right length; the samples on [-tau, 0) do not, and are
+    # neither broadcast across the state nor left to numpy's broadcasting error
+    def phi(s):
+        return [1.0, 2.0] if s == 0.0 else later
+
+    with pytest.raises(ConfigError, match="history function must return length-2 vectors"):
+        rs.integrate(lambda t, x, xd: -xd, phi, tau=0.1, h=0.05, horizon=0.1)
+
+
 def test_grid_beyond_memory_is_a_config_error():
     # 1e15 nodes of 4 doubles: 28 PiB, past any 48-bit address space, so it fails at once
     with pytest.raises(ConfigError, match="1e\\+15 nodes does not fit in memory"):

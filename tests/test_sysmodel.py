@@ -236,6 +236,112 @@ def test_lipschitz_of_linear_f_lies_between_column_and_spectral_norm(seed):
     assert np.max(np.linalg.norm(F, axis=0)) <= est <= np.linalg.norm(F, 2)
 
 
+def _per_sweep_lipschitz(f, box, samples, seed):
+    """Reference sampler on the same seeded probes: every quotient takes full
+    np.hypot.reduce norms of p - q and f(p) - f(q), and f runs on 201 rows
+    per anchor, input and axis. estimate_lipschitz must return the same double."""
+    n = f.n
+    lo = np.array([float(p[0]) for p in box] * 2)
+    hi = np.array([float(p[1]) for p in box] * 2)
+    width = hi - lo
+    rng = np.random.default_rng(seed)
+
+    def value(points, u):
+        return f.rows(points[:, :n], points[:, n:], np.broadcast_to(u, len(points)))
+
+    def top_quotient(p, q, fp, fq):
+        with np.errstate(all="ignore"):
+            gap = np.hypot.reduce(p - q, axis=1)
+            ratio = np.hypot.reduce(fp - fq, axis=1) / np.where(gap == 0.0, np.inf, gap)
+        return float(np.max(np.where(np.isnan(ratio), np.inf, ratio)))
+
+    def fd_partner(p, axis):
+        rows = np.arange(len(p))
+        q = p.copy()
+        q[rows, axis] += np.where(p[rows, axis] + 1e-6 <= hi[axis], 1e-6, -1e-6)
+        return q
+
+    u_cycle = np.resize(np.asarray(U_ZERO_GRID), samples)
+    pairs = lo + rng.random((samples, 2, 2 * n)) * width
+    p, q = pairs[:, 0], pairs[:, 1]
+    best = top_quotient(p, q, value(p, u_cycle), value(q, u_cycle))
+    p = lo + rng.random((samples, 2 * n)) * width
+    q = fd_partner(p, np.arange(samples) % (2 * n))
+    best = max(best, top_quotient(p, q, value(p, u_cycle), value(q, u_cycle)))
+    anchors = [0.5 * (lo + hi)] + [lo + rng.random(2 * n) * width for _ in range(2)]
+    for c in range(2 * n):
+        for anchor in anchors:
+            p = np.tile(anchor, (201, 1))
+            p[:, c] = np.linspace(lo[c], hi[c], 201)
+            q = fd_partner(p, c)
+            for u in (-1.0, 0.0, 1.0):
+                fp = value(p, u)
+                best = max(best, top_quotient(p[1:], p[:-1], fp[1:], fp[:-1]))
+                best = max(best, top_quotient(p, q, fp, value(q, u)))
+    return best
+
+
+def _random_triangular_texts(rng, n):
+    # sums of terms that vanish at the origin; component i reads coordinates up to i only
+    def var(i):
+        return ("x", "xd")[int(rng.integers(0, 2))] + str(int(rng.integers(1, i + 2)))
+
+    texts = []
+    for i in range(n):
+        terms = []
+        for _ in range(int(rng.integers(1, 4))):
+            g = ("sin", "tanh", "abs", "")[int(rng.integers(0, 4))]
+            factor = ("", "*cos(u)", "*u", "*" + var(i))[int(rng.integers(0, 4))]
+            terms.append(f"({float(rng.uniform(-2.0, 2.0))!r})*{g}({var(i)}){factor}")
+        texts.append(" + ".join(terms))
+    return texts
+
+
+def test_lipschitz_equals_the_per_sweep_sampler():
+    rng = np.random.default_rng(25)
+    cases = []
+    for _ in range(24):
+        n = int(rng.integers(1, 5))
+        radius = float(rng.choice([0.5, 3.0, 30.0]))
+        cases.append((rs.make_nonlinearity(_random_triangular_texts(rng, n), n),
+                      [(-radius, radius)] * n, int(rng.choice([100, 300])), int(rng.integers(0, 1000))))
+    # boxes where the 1e-6 step rounds away (p = q reads 0), and an f that overflows there
+    for texts in (["tanh(x1)", "sin(xd2)*cos(x1)"], ["0.5*x1 - xd1", "xd2"], ["x1*x1", "0"]):
+        cases.append((rs.make_nonlinearity(texts, 2), [(-8e307, 8e307), (-1.0, 1.0)], 200, 3))
+    # f not finite at some probe, and an opaque callable that rows calls row by row
+    cases.append((rs.make_nonlinearity(["sqrt(x1)*x1", "xd1 - x2"], 2), [(-1.0, 1.0)] * 2, 100, 0))
+    cases.append((Nonlinearity(2, fn=lambda x, xd, u: [math.sin(x[0]) * u, xd[0] * x[1]]),
+                  [(-2.0, 3.0), (-1.0, 1.0)], 100, 4))
+    values = []
+    for f, box, samples, seed in cases:
+        want = _per_sweep_lipschitz(f, box, samples, seed)
+        assert rs.estimate_lipschitz(f, box, samples=samples, seed=seed) == want, (f.components, box)
+        values.append(want)
+    # on the huge boxes p = q reads 0 where the step rounds away, unless f overflows
+    assert [math.isfinite(v) for v in values[24:27]] == [True, True, False]
+    assert values[27] == math.inf  # nan reads inf
+    assert rs.estimate_lipschitz(cases[0][0], cases[0][1]) == _per_sweep_lipschitz(
+        cases[0][0], cases[0][1], 2000, 0)
+
+
+@pytest.mark.parametrize("samples", [100, 2000])
+def test_lipschitz_batches_stay_within_one_axis_sweep(samples):
+    f = rs.make_nonlinearity(["tanh(x1) - 0.3*xd1", "sin(x2)*x1 + xd2", "x3*xd1*cos(u)", "xd4"], 4)
+    batches = []
+    rows = f.rows
+
+    def counted(X, XD, U):
+        batches.append(len(U))
+        return rows(X, XD, U)
+
+    f.rows = counted
+    rs.estimate_lipschitz(f, [(-3.0, 3.0)] * 4, samples=samples)
+    assert max(batches) <= max(samples, 1809)
+    # the probes of the per-sweep sampler: two random families of pairs, then per axis
+    # 3 anchors x 3 inputs x 201 nodes and their finite-difference partners
+    assert sum(batches) == 4 * samples + 8 * 2 * 1809
+
+
 def test_rows_match_call():
     rng = np.random.default_rng(5)
     rows = 400
