@@ -200,6 +200,7 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 20, 45
 # polyline points formatted per write, by one % call; 4,096 points in flight took
 # repro-paper's peak RSS about 0.3 MB over 1,024, at the same speed
 _SVG_CHUNK = 1024
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # xml.sax.saxutils costs 6 MB RSS
 
 
 def emit_plot(curves, path, log_y: bool = False, title: str = "") -> None:
@@ -249,7 +250,7 @@ def emit_plot(curves, path, log_y: bool = False, title: str = "") -> None:
     if title:
         parts.append(
             f'<text x="{_VIEW_W // 2}" y="14" font-family="monospace" font-size="12" '
-            f'text-anchor="middle">{title}</text>'
+            f'text-anchor="middle">{title.translate(_XML_TEXT)}</text>'
         )
     for i in range(6):
         frac = i / 5.0
@@ -287,7 +288,7 @@ def emit_plot(curves, path, log_y: bool = False, title: str = "") -> None:
                 handle.write(
                     f'<text x="{_MARGIN_L + plot_w - 8}" y="{_MARGIN_T + 16 + 14 * idx}" '
                     f'font-family="monospace" font-size="11" text-anchor="end" '
-                    f'fill="{color}">{label}</text>\n'
+                    f'fill="{color}">{label.translate(_XML_TEXT)}</text>\n'
                 )
             handle.write("</svg>\n")
     except OSError as exc:

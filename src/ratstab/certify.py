@@ -30,6 +30,7 @@ from .errors import (
 )
 
 ALPHA_MARGIN = 0.1  # relative distance of each composite weight from its bound
+STATUS = {True: "PASS", False: "FAIL"}  # the status a pass flag reads as
 
 
 def _margin_pair(theta: float, tau: float, norm: float, k: float) -> tuple[float, float]:
@@ -193,6 +194,15 @@ def select_alpha_output_feedback(c: float, d: float, k: float, norm_p: float,
 
 
 @dataclass(frozen=True)
+class Verdict:
+    """One route to a verdict: its name, status and numbers as (name, value, passed) triples."""
+
+    route: str
+    status: str
+    numbers: tuple[tuple[str, float, bool], ...]
+
+
+@dataclass(frozen=True)
 class Certification:
     """One gain set's certificate: margins, Lyapunov solutions, advisory, weights.
 
@@ -206,6 +216,22 @@ class Certification:
     advisory: float
     alpha_observer_based: tuple[float, float] | None
     alpha_output_feedback: float | None
+
+    @property
+    def verdicts(self) -> tuple[Verdict, ...]:
+        """Every route's verdict; today one, the margins a-d and output_feedback."""
+        report = self.report.to_dict()
+        numbers = tuple((name, value, report["pass"][name]) for name, value in report["margins"].items())
+        return (Verdict("margins", STATUS[report["pass"]["all"]], numbers),)
+
+    @property
+    def overall(self) -> str:
+        """FAIL exactly when some route fails; ``exit_code`` is 1 exactly then, else 0."""
+        return STATUS[all(verdict.status == "PASS" for verdict in self.verdicts)]
+
+    @property
+    def exit_code(self) -> int:
+        return 0 if self.overall == "PASS" else 1
 
     def to_dict(self) -> dict:
         """The certificate.json payload; an unconstrained weight is written as null."""

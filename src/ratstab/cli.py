@@ -195,8 +195,7 @@ def _history_exprs(texts, n: int):
 
 def build_system(cfg: RunConfig) -> SystemSpec:
     f = make_nonlinearity(cfg.f_source, cfg.n)
-    box = tuple((lo, hi) for lo, hi in cfg.domain_box) if cfg.domain_box else None
-    return SystemSpec(n=cfg.n, tau=cfg.tau, f=f, lipschitz_k=cfg.lipschitz_k, domain_box=box)
+    return SystemSpec(n=cfg.n, tau=cfg.tau, f=f, lipschitz_k=cfg.lipschitz_k, domain_box=cfg.domain_box)
 
 
 def build_gains(cfg: RunConfig) -> GainSet:
@@ -240,10 +239,9 @@ def _render_certification(sys_spec: SystemSpec, result: certify.Certification, o
     box_text = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in sys_spec.domain_box)
     print(f"  advisory Lipschitz lower bound over {box_text}: {result.advisory:.4f}")
     print("    (region-dependent; the margins below use the declared k)")
-    payload = result.to_dict()
-    for name, value in payload["margins"].items():
-        print(f"  margin {name:>15} = {_margin_text(value, ' ')}  "
-              f"{'PASS' if payload['pass'][name] else 'FAIL'}")
+    for verdict in result.verdicts:
+        for name, value, passed in verdict.numbers:
+            print(f"  margin {name:>15} = {_margin_text(value, ' ')}  {certify.STATUS[passed]}")
     if result.alpha_observer_based is not None:
         alpha, threshold = result.alpha_observer_based
         print(f"  composite weight (observer-based): alpha = {alpha:.6g} > threshold {threshold:.6g}")
@@ -251,11 +249,11 @@ def _render_certification(sys_spec: SystemSpec, result: certify.Certification, o
         alpha_of = result.alpha_output_feedback
         print("  composite weight (output feedback): " + (
             f"unconstrained (k = {report.k:g})" if math.isinf(alpha_of) else f"alpha = {alpha_of:.6g}"))
-    print(f"  overall: {'PASS' if report.all_pass else 'FAIL'}")
+    print(f"  overall: {result.overall}")
     out_path = _output_path(out_dir, file_name)
     try:
         with open(out_path, "w", newline="\n") as handle:
-            json.dump(payload, handle, indent=2)
+            json.dump(result.to_dict(), handle, indent=2)
             handle.write("\n")
     except OSError as exc:
         raise OutputIOError(f"cannot write certificate {out_path}: {exc}") from exc
@@ -269,7 +267,7 @@ def cmd_certify(args) -> int:
     advisory = estimate_lipschitz(sys_spec.f, sys_spec.domain_box, seed=cfg.seed)
     result = certify.certify_gains(build_gains(cfg), sys_spec.tau, sys_spec.lipschitz_k, advisory)
     _render_certification(sys_spec, result, cfg.out_dir, "certificate.json")
-    return 0 if result.report.all_pass else 1
+    return result.exit_code
 
 
 def cmd_synthesize(args) -> int:

@@ -519,10 +519,10 @@ def run_scenario(sys: SystemSpec, gains: GainSet, scenario: Scenario, phi, phi_h
                  u_ext: Callable[[float], float] | None = None) -> Trajectory:
     """Wire the requested closed-loop configuration and integrate it.
 
-    phi (plant) and phi_hat (observer, when present) are constant vectors
-    or callables on [-tau, 0]. For the plain observer scenario the control
-    is externally given; it is zero when u_ext is omitted. Other scenarios
-    ignore u_ext.
+    phi (plant) and phi_hat (observer, when present) are constant vectors or
+    callables on [-tau, 0]; a callable is called 2m + 3 times, a probe at 0
+    here and integrate's 2m + 2. The plain observer scenario's control is
+    u_ext, zero when omitted; the other scenarios ignore u_ext.
     """
     n = sys.n
     if gains.n != n:

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -262,6 +263,17 @@ def test_plot_deterministic(tmp_path):
     assert data == p2.read_bytes()
     assert data.count(b"<polyline") == 2
     assert data.startswith(b"<svg")
+
+
+def test_plot_escapes_markup_in_the_title_and_labels(tmp_path):
+    t = np.linspace(0.0, 1.0, 50)
+    path = tmp_path / "markup.svg"
+    analyze.emit_plot([("a<b & c", t, np.exp(-t)), ('"d" > e', t, np.exp(-2 * t))], path,
+                      title="x < y & z")
+    texts = [node.text for node in ElementTree.parse(path).getroot()
+             if node.tag.endswith("text")]
+    assert texts[0] == "x < y & z"
+    assert texts[-2:] == ["a<b & c", '"d" > e']
 
 
 def test_plot_log_scale(tmp_path):

@@ -88,6 +88,23 @@ def test_report_flags_match_margin_signs():
     assert payload["margins"]["a"] == failing.a
 
 
+
+@pytest.mark.parametrize("theta", [8.0, 1.5])
+def test_verdicts_are_the_margins_route_of_the_report(theta):
+    gains = rs.GainSet(L=[-14.0, -28.0], K=[-30.0, -30.0], theta=theta)
+    result = rs.certify_gains(gains, tau=1.0, k=0.5, advisory=0.0)
+    payload = result.to_dict()
+    (verdict,) = result.verdicts
+    assert verdict.route == "margins"
+    assert [(name, value) for name, value, _ in verdict.numbers] == list(payload["margins"].items())
+    assert {name: passed for name, _, passed in verdict.numbers} == {
+        name: passed for name, passed in payload["pass"].items() if name != "all"}
+    assert result.report.all_pass == (theta == 8.0)
+    expected = "PASS" if result.report.all_pass else "FAIL"
+    assert verdict.status == result.overall == expected
+    assert result.exit_code == (0 if result.report.all_pass else 1)
+
+
 def _brute_feasible(thetas, tau, norm_p, norm_s, k):
     """Mask of the grid points where all four margins, written out here, are positive."""
     mask = np.ones(thetas.shape, dtype=bool)

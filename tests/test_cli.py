@@ -227,6 +227,13 @@ def test_repro_paper(tmp_path, capsys):
     assert (tmp_path / "out" / "repro_trajectory.svg").exists()
 
 
+def test_repro_paper_exits_0_on_a_failing_certificate(tmp_path, capsys):
+    # repro-paper reports the certificate; only certify turns FAIL into exit 1
+    argv = ["repro-paper", "--out", str(tmp_path / "out"), "--theta", "1.5", "--horizon", "0.5"]
+    assert cli.main(argv) == 0
+    assert "  overall: FAIL\n" in capsys.readouterr().out
+
+
 def test_synthesize_theta_max_must_be_finite(tmp_path, capsys):
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert cli.main(["synthesize", "--config", path, "--theta-max", "inf"]) == 2
@@ -452,7 +459,8 @@ def test_grid_beyond_memory_is_an_input_error(tmp_path, capsys):
 ], ids=["pass", "failing_margin", "k_zero"])
 def test_certificate_file_is_the_library_result(tmp_path, tweaks, code):
     path = write_config(tmp_path, base_config(tmp_path / "out", **tweaks))
-    assert cli.main(["certify", "--config", path]) == code
+    exit_code = cli.main(["certify", "--config", path])
+    assert exit_code == code
     written = json.loads((tmp_path / "out" / "certificate.json").read_text())
 
     cfg = cli.load_config(path)
@@ -460,6 +468,7 @@ def test_certificate_file_is_the_library_result(tmp_path, tweaks, code):
     advisory = rs.estimate_lipschitz(sys_spec.f, sys_spec.domain_box, seed=cfg.seed)
     result = rs.certify_gains(cli.build_gains(cfg), sys_spec.tau, sys_spec.lipschitz_k, advisory)
     assert result.to_dict() == written
+    assert result.exit_code == exit_code
     if code == 1:
         assert "alpha_observer_based" not in written and "alpha_output_feedback" not in written
     if sys_spec.lipschitz_k == 0.0:
@@ -574,6 +583,7 @@ def _tweak(key, value):
     ("certify", _tweak("system.n", 2.0), [], 2, "'n' must be an integer, got 2.0"),
     ("certify", _tweak("sim.seed", 1.5), [], 2, "'seed' must be an integer, got 1.5"),
     ("certify", _tweak("system.domain_box", 5), [], 2, "'domain_box' must be a list of [lo, hi] pairs"),
+    ("certify", _tweak("system.domain_box", []), [], 2, "domain box must have 2 coordinate ranges, got 0"),
     ("certify", _tweak("system.tau", "abc"), [], 2, "'tau' must be a number, got 'abc'"),
     ("certify", _tweak("system.tau", math.inf), [], 2, "'tau' must be finite, got inf"),
     ("certify", _with("gains", []), [], 2, "section 'gains' must be a table of keys"),
@@ -583,9 +593,9 @@ def _tweak(key, value):
     ("certify", _tweak("output.emit_plots", "yes"), [], 2, "'emit_plots' must be a boolean"),
 ], ids=["simulate_without_sim", "simulate_without_sim_with_step_and_horizon", "history_reads_x1",
         "history_is_a_number", "history_constant", "f_is_a_number", "n_is_a_float",
-        "seed_is_a_float", "domain_box_is_a_number", "tau_is_text", "tau_is_infinity",
-        "gains_is_a_list", "root_is_a_list", "gains_missing", "directory_is_a_number",
-        "emit_plots_is_text"])
+        "seed_is_a_float", "domain_box_is_a_number", "domain_box_is_empty", "tau_is_text",
+        "tau_is_infinity", "gains_is_a_list", "root_is_a_list", "gains_missing",
+        "directory_is_a_number", "emit_plots_is_text"])
 def test_config_input_errors(tmp_path, capsys, monkeypatch, command, edit, flags, code, message):
     monkeypatch.chdir(tmp_path)  # a default relative output directory would land here
     out = tmp_path / "out"

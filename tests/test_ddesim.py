@@ -716,6 +716,28 @@ def test_integrate_samples_a_callable_history_2m_plus_1_times_after_its_probe():
     assert -m * h - 1e-9 < min(calls) and max(calls) < 1e-9  # no sample leaves [-tau, 0]
 
 
+
+@pytest.mark.parametrize("scenario", [rs.Scenario.STATE_FEEDBACK, rs.Scenario.OBSERVER_BASED],
+                         ids=lambda s: s.value)
+def test_run_scenario_calls_each_callable_history_2m_plus_3_times(bench_gains, scenario):
+    # run_scenario probes each history at 0, then integrate probes the joined one and
+    # samples it at the m + 1 nodes and the m segment midpoints of [-tau, 0]
+    calls = {"x": [], "xhat": []}
+
+    def history(name, value):
+        def phi(s):
+            calls[name].append(s)
+            return [value, -value]
+        return phi
+
+    m, h = 10, 0.001
+    sys_spec = rs.SystemSpec(n=2, tau=m * h, f=rs.make_nonlinearity("zero", 2), lipschitz_k=0.0)
+    rs.run_scenario(sys_spec, bench_gains, scenario, history("x", 1.0), history("xhat", 0.5),
+                    h=h, horizon=0.02)
+    assert len(calls["x"]) == 2 * m + 3
+    assert calls["xhat"] == (calls["x"] if scenario.has_observer else [])
+
+
 # inexact in binary (3 * 0.1 != 0.3), so arithmetic on its samples would show in the bits
 _INEXACT_CONSTANT = np.array([0.1, -0.7, 0.3])
 
