@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analyze, certify, exprlang
-from .ddesim import Scenario, run_scenario
+from .ddesim import Scenario, grid_layout, run_scenario
 from .errors import ConfigError, DivergedError, NoFeasibleThetaError, OutputIOError, ToolkitError
 from .matops import check_dimension, solve_lyapunov
 from .sysmodel import GainSet, SystemSpec, estimate_lipschitz, make_nonlinearity
@@ -371,6 +371,7 @@ def cmd_repro_paper(args) -> int:
     cfg = parse_config(_REFERENCE_CONFIG)
     _apply_overrides(cfg, args)
     sys_spec, gains = build_system(cfg), build_gains(cfg)
+    grid_layout(sys_spec.tau, cfg.h, cfg.horizon)  # a grid error before anything is printed
     advisory = estimate_lipschitz(sys_spec.f, sys_spec.domain_box, seed=cfg.seed)
     result = certify.certify_gains(gains, sys_spec.tau, sys_spec.lipschitz_k, advisory)
 

@@ -173,7 +173,8 @@ def _as_history_fn(phi, width: int | None = None) -> tuple[np.ndarray | Callable
     return (phi if callable(phi) else probe), width
 
 
-def _grid_layout(tau: float, h: float, horizon: float) -> tuple[int, int]:
+def grid_layout(tau: float, h: float, horizon: float) -> tuple[int, int]:
+    """(m, steps) of a step-h grid: tau = m h and T = steps h; ConfigError if it has none."""
     if not (h > 0.0 and math.isfinite(h)):
         raise ConfigError(f"step must be positive and finite, got {h!r}")
     if not (tau > 0.0 and math.isfinite(tau)):
@@ -276,7 +277,7 @@ def integrate(rhs: Callable, phi, tau: float, h: float, horizon: float):
     the ``block`` that rhs carries when it is a generated closed loop (see
     :func:`_compile_loop`), else one that calls rhs four times per step.
     """
-    m, steps = _grid_layout(tau, h, horizon)
+    m, steps = grid_layout(tau, h, horizon)
     history, width = _as_history_fn(phi)
 
     nodes = m + steps + 1

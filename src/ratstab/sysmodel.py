@@ -17,7 +17,7 @@ import numpy as np
 
 from . import exprlang
 from .errors import ConfigError, NotHurwitzError
-from .matops import MAX_DIM, build_companion, check_dimension, delta_theta, is_hurwitz
+from .matops import build_companion, check_dimension, delta_theta, is_hurwitz
 
 # f(0, 0, u) = 0 is asserted on this input grid at construction time; the
 # Lipschitz advisory cycles u through it
@@ -195,9 +195,7 @@ class GainSet:
         object.__setattr__(self, "L", np.asarray(self.L, dtype=float))
         object.__setattr__(self, "K", np.asarray(self.K, dtype=float))
         scale_gains(self.L, self.K, self.theta)  # validates theta and the shapes
-        n = self.L.shape[0]
-        if n < 1 or n > MAX_DIM:
-            raise ConfigError(f"gain length {n} outside 1..{MAX_DIM}")
+        check_dimension(self.L.shape[0])
         if not is_hurwitz(self.A_L):
             raise NotHurwitzError(f"A + L*C is not Hurwitz for L={self.L.tolist()}")
         if not is_hurwitz(self.A_K):

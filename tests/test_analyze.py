@@ -82,6 +82,8 @@ def test_fit_envelope_contract():
         rs.fit_envelope(t, np.concatenate([np.ones(19), [0.0]]))
     with pytest.raises(ContractViolation):
         rs.fit_envelope(t[:5], np.ones(5))
+    with pytest.raises(ContractViolation, match="1 \\+ t > 0"):
+        rs.fit_envelope(t - 1.0, np.ones(20))
 
 
 def _synthetic_trajectory(scale=1.0, rate=1.0, h=0.01, horizon=5.0, tau=1.0):

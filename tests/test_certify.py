@@ -10,6 +10,7 @@ from ratstab.errors import (
     ConfigError,
     ContractViolation,
     NoFeasibleThetaError,
+    NotHurwitzError,
 )
 
 # benchmark margins frozen from the direct-formula oracle, using the
@@ -407,3 +408,11 @@ def test_certify_gains_requires_theta_at_least_one():
         rs.certify_gains(rs.GainSet(L=L, K=K, theta=0.5), tau=1.0, k=0.0, advisory=0.0)
     result = rs.certify_gains(rs.GainSet(L=L, K=K, theta=1.0), tau=1.0, k=0.0, advisory=0.0)
     assert result.report.theta == 1.0
+
+
+def test_certify_gains_rejects_an_overflowing_lyapunov_solve():
+    # K = [-1e200, -2] is Hurwitz (poles -1 +- 1e100 i), but 2|A||S| overflows, which
+    # would read the relative residual as 0; the solve is rejected and numpy warns of nothing
+    gains = rs.GainSet(L=[-14.0, -28.0], K=[-1e200, -2.0], theta=8.0)
+    with pytest.raises(NotHurwitzError):
+        rs.certify_gains(gains, tau=1.0, k=0.5, advisory=0.0)

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -324,7 +325,8 @@ def test_unrepresentable_grid_is_an_input_error(tmp_path, capsys, command, flag,
     ("t,x1\n0,1\n1,2,3\n", "line 3"),
     ("t,x1\n0,1\n1,abc\n", "line 3"),
     ("t,x1\n", "no data rows"),
-], ids=["ragged_row", "non_numeric_cell", "header_only"])
+    ("", "is empty"),
+], ids=["ragged_row", "non_numeric_cell", "header_only", "empty"])
 def test_fit_malformed_csv_is_an_input_error(tmp_path, capsys, text, where):
     path = tmp_path / "bad.csv"
     path.write_text(text)
@@ -337,6 +339,13 @@ def test_fit_needs_a_time_column(tmp_path, capsys):
     path.write_text("s,x1\n" + "".join(f"{i},{2.0 ** -i}\n" for i in range(20)))
     assert cli.main(["fit", str(path), "--column", "x1"]) == 2
     assert "'t'" in capsys.readouterr().err
+
+
+def test_fit_needs_ten_positive_samples(tmp_path, capsys):
+    path = tmp_path / "decay.csv"
+    path.write_text("t,x1\n" + "".join(f"{i},{2.0 ** -i}\n" for i in range(20)))
+    assert cli.main(["fit", str(path), "--column", "x1", "--skip", "1e308"]) == 2
+    assert capsys.readouterr().err == "error: fewer than 10 positive samples after trimming\n"
 
 
 @pytest.mark.parametrize("command", ["certify", "simulate", "repro-paper"])
@@ -523,7 +532,10 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, key, value, message):
     ("repro-paper", {}, ["--theta", "0.5"]),
     ("certify", {"gains.K": [0.0, 0.0]}, []),
     ("simulate", {}, []),
-], ids=["repro_theta_below_one", "certify_non_hurwitz", "simulate_without_mode"])
+    ("repro-paper", {}, ["--step", "-1"]),
+    ("repro-paper", {}, ["--step", "0.3"]),
+], ids=["repro_theta_below_one", "certify_non_hurwitz", "simulate_without_mode",
+        "repro_negative_step", "repro_step_off_the_delay"])
 def test_input_error_leaves_no_output_directory(tmp_path, capsys, command, tweaks, flags):
     out = tmp_path / "out"
     argv = [command, "--out", str(out)] + flags
@@ -533,7 +545,25 @@ def test_input_error_leaves_no_output_directory(tmp_path, capsys, command, tweak
             del cfg["scenario"]
         argv += ["--config", write_config(tmp_path, cfg)]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("action", ["always", "error"])
+@pytest.mark.parametrize("command", ["certify", "synthesize"])
+def test_overflowing_lyapunov_solve_is_one_error_line(tmp_path, capsys, command, action):
+    # A + B K is Hurwitz for K = [-1e200, -2], but its Lyapunov solve overflows
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(out, **{"gains.K": [-1e200, -2.0]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        assert cli.main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Lyapunov solution not certified: ")
+    assert captured.err.count("\n") == 1
     assert not out.exists()
 
 
@@ -584,6 +614,9 @@ def _tweak(key, value):
     ("certify", _tweak("sim.seed", 1.5), [], 2, "'seed' must be an integer, got 1.5"),
     ("certify", _tweak("system.domain_box", 5), [], 2, "'domain_box' must be a list of [lo, hi] pairs"),
     ("certify", _tweak("system.domain_box", []), [], 2, "domain box must have 2 coordinate ranges, got 0"),
+    ("certify", _tweak("system.domain_box", [[-30.0, 30.0], [-30.0]]), [], 2,
+     "'domain_box[1]' must be a list of 2 numbers"),
+    ("certify", _tweak("gains.L", [-14.0]), [], 2, "'L' must be a list of 2 numbers"),
     ("certify", _tweak("system.tau", "abc"), [], 2, "'tau' must be a number, got 'abc'"),
     ("certify", _tweak("system.tau", math.inf), [], 2, "'tau' must be finite, got inf"),
     ("certify", _with("gains", []), [], 2, "section 'gains' must be a table of keys"),
@@ -593,7 +626,8 @@ def _tweak(key, value):
     ("certify", _tweak("output.emit_plots", "yes"), [], 2, "'emit_plots' must be a boolean"),
 ], ids=["simulate_without_sim", "simulate_without_sim_with_step_and_horizon", "history_reads_x1",
         "history_is_a_number", "history_constant", "f_is_a_number", "n_is_a_float",
-        "seed_is_a_float", "domain_box_is_a_number", "domain_box_is_empty", "tau_is_text",
+        "seed_is_a_float", "domain_box_is_a_number", "domain_box_is_empty", "domain_box_pair_is_short",
+        "L_is_short", "tau_is_text",
         "tau_is_infinity", "gains_is_a_list", "root_is_a_list", "gains_missing",
         "directory_is_a_number", "emit_plots_is_text"])
 def test_config_input_errors(tmp_path, capsys, monkeypatch, command, edit, flags, code, message):

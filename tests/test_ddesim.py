@@ -55,6 +55,10 @@ def test_grid_layout_validation():
         rs.integrate(rhs, np.array([1.0]), tau=1.0, h=0.1, horizon=0.05)  # T < h
     with pytest.raises(ConfigError):
         rs.integrate(rhs, np.array([1.0]), tau=1.0, h=0.1, horizon=1.23)  # off-grid horizon
+    with pytest.raises(ConfigError, match="step must be positive and finite, got -0.1"):
+        rs.integrate(rhs, np.array([1.0]), tau=1.0, h=-0.1, horizon=2.0)
+    with pytest.raises(ConfigError, match="delay must be positive and finite, got 0.0"):
+        rs.integrate(rhs, np.array([1.0]), tau=0.0, h=0.1, horizon=2.0)
 
 
 @pytest.mark.parametrize("h, horizon", [(0.1, math.inf), (0.1, 1e300), (1e-300, 2.0),
@@ -874,6 +878,11 @@ def test_history_not_finite_between_nodes_is_a_config_error(bench_system, bench_
     assert any(-tau < s < -tau + h for s in calls)
     with pytest.raises(ConfigError, match="history function must return length-2 vectors"):
         rs.run_scenario(bench_system, bench_gains, rs.Scenario.STATE_FEEDBACK, lambda s: [0.0, 0.0, 0.0])
+
+
+def test_constant_history_of_the_wrong_length_is_a_config_error(bench_system, bench_gains):
+    with pytest.raises(ConfigError, match="constant history must have length 2, got shape \\(1,\\)"):
+        rs.run_scenario(bench_system, bench_gains, rs.Scenario.STATE_FEEDBACK, [1.0])
 
 
 @pytest.mark.parametrize("later", [[3.0], [3.0, 4.0, 5.0]], ids=["shorter", "longer"])

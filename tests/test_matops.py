@@ -81,6 +81,16 @@ def test_lyapunov_rejects_non_hurwitz():
         rs.solve_lyapunov(np.diag([1.0, -2.0]))  # solvable but indefinite
     with pytest.raises(NotHurwitzError):
         rs.solve_lyapunov(np.array([[0.0, 1.0], [-1.0, 0.0]]))  # singular operator
+    with pytest.raises(NotHurwitzError):
+        rs.solve_lyapunov(np.array([[-1e-309]]))  # X = 1/(2e-309) overflows to inf
+
+
+def test_lyapunov_rejection_names_no_unmeasured_cause():
+    # both eigenvalues are -1, yet X overflows: no eigenvalue pair sums to zero
+    with pytest.raises(NotHurwitzError) as err:
+        rs.solve_lyapunov(np.array([[-1.0, 1e200], [0.0, -1.0]]))
+    assert "summing to zero" not in str(err.value)
+    assert str(err.value).endswith("too ill-conditioned to certify in double precision")
 
 
 @pytest.mark.parametrize("poles, n", [("repeated", n) for n in range(8, 17)]
@@ -178,6 +188,19 @@ def test_hurwitz_random_vs_numpy():
 def test_hurwitz_marginal_is_conservative():
     assert not rs.is_hurwitz(np.zeros((1, 1)))
     assert not rs.is_hurwitz(np.array([[0.0, 1.0], [-1.0, 0.0]]))  # pure imaginary pair
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hurwitz_of_a_non_finite_matrix_is_false(bad):
+    assert not rs.is_hurwitz(np.array([[-1.0, bad], [0.0, -1.0]]))
+
+
+@pytest.mark.parametrize("fn", [rs.is_hurwitz, rs.solve_lyapunov, rs.sym_eigenvalues])
+def test_matrix_must_be_square_within_the_dimension_range(fn):
+    with pytest.raises(ContractViolation, match="matrix must be square, got shape \\(2, 3\\)"):
+        fn(np.ones((2, 3)))
+    with pytest.raises(ConfigError, match="dimension must be an integer in 1..16, got 17"):
+        fn(-np.eye(17))
 
 
 def _known_pole_families(n):

@@ -12,7 +12,14 @@ that holds this file:
 - ``repro-paper --theta 1e100``, which diverges;
 - ``simulate`` on ``EVERY_FUNCTION``, a config built here whose f uses every
   function and operator of the expression language, and once more with
-  ``--theta 1e100``, where non-finite operands reach sin, cos and tan.
+  ``--theta 1e100``, where non-finite operands reach sin, cos and tan;
+- ``repro-paper --step -1``, an input error found before anything is
+  printed or written;
+- ``certify`` and ``synthesize`` on the built-in reference config with
+  K = [-1e200, -2], whose Lyapunov solve overflows and is rejected.
+
+Run it with ``PYTHONWARNINGS=error::RuntimeWarning`` and a numpy warning
+in any of these runs fails the tool.
 
 Each run prints one line per stdout, stderr, exit code and written file.
 The scratch directory's path is masked in all of them, so ``diff`` of the
@@ -95,6 +102,15 @@ def digests(seeds: list, work: Path) -> list:
                                                            ["--theta", "1e100"])):
         out = work / label.split()[0]
         lines += run(label, ["simulate", "--config", str(config), "--out", str(out), *extra], work, out)
+    bad_step = work / "bad-step"
+    lines += run("repro-paper-step-minus-1", ["repro-paper", "--step", "-1", "--out", str(bad_step)],
+                 work, bad_step)
+    config = work / "huge-gain.json"
+    config.write_text(json.dumps({**cli._REFERENCE_CONFIG,
+                                  "gains": {**cli._REFERENCE_CONFIG["gains"], "K": [-1e200, -2.0]}}))
+    out = work / "huge-gain"
+    lines += run("huge-gain certify", ["certify", "--config", str(config), "--out", str(out)], work, out)
+    lines += run("huge-gain synthesize", ["synthesize", "--config", str(config)], work)
     return lines
 
 
