@@ -9,7 +9,7 @@ import numpy as np
 
 from .certify import StabilityParams, rational_bound
 from .ddesim import Trajectory
-from .errors import ContractViolation, OutputIOError
+from .errors import ContractViolation, OutputIOError, check_numbers
 
 CSV_DIGITS = 17  # significant digits; guarantees float round-trips
 # CSV rows formatted per write, by one % call; each row in flight holds its Python
@@ -25,7 +25,7 @@ class DecayReport:
 
 
 def verify_decay(t, values, rate: float, tol: float) -> DecayReport:
-    """Check V' <= -rate V along a sampled series.
+    """Check V' <= -rate V along a sampled series; rate and tol must be finite and >= 0.
 
     The grid form of the claim is V(t+h) <= exp(-rate h) V(t); indices
     where the forward difference exceeds that by more than the relative
@@ -40,8 +40,8 @@ def verify_decay(t, values, rate: float, tol: float) -> DecayReport:
     h = steps[0]
     if not h > 0.0 or np.max(np.abs(steps - h)) > 1e-9 * max(1.0, abs(h)):
         raise ContractViolation("time grid must be uniform and increasing")
-    if rate < 0.0:
-        raise ContractViolation(f"rate must be >= 0, got {rate!r}")
+    check_numbers(("rate", rate, rate >= 0.0, "finite and >= 0"), ("tol", tol, tol >= 0.0, "finite and >= 0"),
+                  error=ContractViolation)
     decay = math.exp(-rate * h)
     margins = (v[1:] - decay * v[:-1]) / h
     flags = margins > tol * (1.0 + v[:-1])
@@ -215,6 +215,8 @@ def emit_plot(curves, path, log_y: bool = False, title: str = "") -> None:
     curves = [(str(label), np.asarray(t, float), np.asarray(y, float)) for label, t, y in curves]
     if not curves or any(len(t) == 0 or t.shape != y.shape for _, t, y in curves):
         raise ContractViolation("plot needs at least one non-empty series")
+    if not all(np.isfinite(t).all() and np.isfinite(y).all() for _, t, y in curves):
+        raise ContractViolation("plot needs finite data")
     if log_y:
         if any(np.any(y <= 0.0) for _, _, y in curves):
             raise ContractViolation("log-scale plot needs strictly positive data")

@@ -24,9 +24,9 @@ import numpy as np
 from . import matops
 from .errors import (
     ConditionsNotSatisfiedError,
-    ConfigError,
     ContractViolation,
     NoFeasibleThetaError,
+    check_numbers,
 )
 
 ALPHA_MARGIN = 0.1  # relative distance of each composite weight from its bound
@@ -129,12 +129,11 @@ def find_theta_min(tau: float, norm_p: float, norm_s: float, k: float,
     and tol are finite with tau > 0, k >= 0, norms > 0, theta_max > 1 and
     tol > 0.
     """
-    checks = (("tau", tau, tau > 0.0, "> 0"), ("k", k, k >= 0.0, ">= 0"),
-              ("norm_p", norm_p, norm_p > 0.0, "> 0"), ("norm_s", norm_s, norm_s > 0.0, "> 0"),
-              ("theta_max", theta_max, theta_max > 1.0, "> 1"), ("tol", tol, tol > 0.0, "> 0"))
-    for name, value, ok, need in checks:
-        if not (ok and math.isfinite(value)):
-            raise ConfigError(f"{name} must be finite and {need}, got {value!r}")
+    check_numbers(("tau", tau, tau > 0.0, "finite and > 0"), ("k", k, k >= 0.0, "finite and >= 0"),
+                  ("norm_p", norm_p, norm_p > 0.0, "finite and > 0"),
+                  ("norm_s", norm_s, norm_s > 0.0, "finite and > 0"),
+                  ("theta_max", theta_max, theta_max > 1.0, "finite and > 1"),
+                  ("tol", tol, tol > 0.0, "finite and > 0"))
     norm = max(norm_p, norm_s)
 
     def feasible(theta: float) -> bool:
@@ -165,10 +164,9 @@ def select_alpha_observer_based(theta: float, a: float, c: float, norm_s: float,
     theta / 2, so the threshold is formed from theta / a and theta / c, which
     stay finite where theta^2 overflows.
     """
-    if not margin > 0.0:
-        raise ConfigError(f"margin must be positive, got {margin!r}")
-    if a <= 0.0 or c <= 0.0:
-        raise ConditionsNotSatisfiedError(f"margins must be positive, got a={a:g}, c={c:g}")
+    check_numbers(("margin", margin, margin > 0.0, "finite and > 0"))
+    check_numbers(("a", a, a > 0.0, "finite and > 0"), ("c", c, c > 0.0, "finite and > 0"),
+                  error=ConditionsNotSatisfiedError)
     threshold = 2.0 * (theta / a) * (theta / c) * (norm_s * norm_k) ** 2
     alpha = margin if threshold == 0.0 else (1.0 + margin) * threshold
     return alpha, threshold
@@ -182,15 +180,11 @@ def select_alpha_output_feedback(c: float, d: float, k: float, norm_p: float,
     sits below that cap by the requested relative margin. k = 0 removes
     the constraint entirely and the unconstrained sentinel inf is returned.
     """
-    if not 0.0 < margin < 1.0:
-        raise ConfigError(f"margin must be in (0, 1), got {margin!r}")
-    if k == 0.0:
-        return math.inf
-    if c <= 0.0 or d <= 0.0 or k < 0.0 or norm_p <= 0.0:
-        raise ConditionsNotSatisfiedError(
-            f"need c, d, norm_p > 0 and k >= 0, got c={c:g}, d={d:g}, k={k:g}, norm_p={norm_p:g}"
-        )
-    return min(c, d) / (k * norm_p) * (1.0 - margin)
+    check_numbers(("margin", margin, 0.0 < margin < 1.0, "in (0, 1)"))
+    check_numbers(("c", c, c > 0.0, "finite and > 0"), ("d", d, d > 0.0, "finite and > 0"),
+                  ("k", k, k >= 0.0, "finite and >= 0"), ("norm_p", norm_p, norm_p > 0.0, "finite and > 0"),
+                  error=ConditionsNotSatisfiedError)
+    return math.inf if k == 0.0 else min(c, d) / (k * norm_p) * (1.0 - margin)
 
 
 @dataclass(frozen=True)
@@ -251,8 +245,8 @@ class Certification:
 
 def certify_gains(gains, tau: float, k: float, advisory: float) -> Certification:
     """Solve both Lyapunov equations of a GainSet and evaluate the certificate."""
-    if gains.theta < 1.0:  # the certified decay rate ln(theta) / (2 tau) would be negative
-        raise ConfigError(f"theta must be at least 1 to certify decay, got {gains.theta!r}")
+    # below 1 the certified decay rate ln(theta) / (2 tau) would be negative
+    check_numbers(("theta", gains.theta, gains.theta >= 1.0, "at least 1 to certify decay"))
     cert_p = matops.solve_lyapunov(gains.A_L)
     cert_s = matops.solve_lyapunov(gains.A_K)
     report = build_report(gains.theta, tau, cert_p.spectral_norm, cert_s.spectral_norm, k)
@@ -286,12 +280,10 @@ class StabilityParams:
     r3: float | None = None
 
     def __post_init__(self):
-        for name in ("lam1", "lam2", "lam3", "r1", "r2", "k"):
-            value = getattr(self, name)
-            if not (value > 0.0) or not math.isfinite(value):
-                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-        if self.r3 is not None and not self.r2 < self.r3:
-            raise ConfigError(f"r2 < r3 required, got r2={self.r2!r}, r3={self.r3!r}")
+        check_numbers(*((name, getattr(self, name), getattr(self, name) > 0.0, "positive and finite")
+                        for name in ("lam1", "lam2", "lam3", "r1", "r2", "k")))
+        if self.r3 is not None:
+            check_numbers(("r3", self.r3, self.r3 > self.r2, f"finite and > r2 = {self.r2!r}"))
 
     @property
     def M(self) -> float:
@@ -314,10 +306,8 @@ def rational_bound(params: StabilityParams, norm_phi: float, t: float) -> float:
     bound(t)/bound(c t) tends to c^(1/(k r1)) and stays below it at every
     finite t. The zero solution (norm_phi = 0) gets a zero bound.
     """
-    if norm_phi < 0.0 or not math.isfinite(norm_phi):
-        raise ContractViolation(f"norm_phi must be finite and >= 0, got {norm_phi!r}")
-    if t < 0.0:
-        raise ContractViolation(f"t must be >= 0, got {t!r}")
+    check_numbers(("norm_phi", norm_phi, norm_phi >= 0.0, "finite and >= 0"),
+                  ("t", t, t >= 0.0, "finite and >= 0"), error=ContractViolation)
     if norm_phi == 0.0:
         return 0.0
     base = (
@@ -329,8 +319,8 @@ def rational_bound(params: StabilityParams, norm_phi: float, t: float) -> float:
 
 def corollary_k(r2: float, r3: float) -> float:
     """Rational-decay exponent (r3 - r2) / r2 from a power-rate certificate."""
-    if not (0.0 < r2 < r3):
-        raise ContractViolation(f"need 0 < r2 < r3, got r2={r2!r}, r3={r3!r}")
+    check_numbers(("r2", r2, r2 > 0.0, "finite and > 0"), ("r3", r3, r3 > r2, f"finite and > r2 = {r2!r}"),
+                  error=ContractViolation)
     return (r3 - r2) / r2
 
 
@@ -350,10 +340,8 @@ class FunctionalSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
-        if not self.theta > 1.0:
-            raise ConfigError(f"theta must exceed 1, got {self.theta!r}")
-        if not self.tau > 0.0:
-            raise ConfigError(f"tau must be positive, got {self.tau!r}")
+        check_numbers(("theta", self.theta, self.theta > 1.0, "finite and > 1"),
+                      ("tau", self.tau, self.tau > 0.0, "finite and > 0"))
         eigs = matops.sym_eigenvalues(self.matrix)
         if eigs[0] <= 0.0:
             raise ContractViolation("functional matrix must be positive definite")

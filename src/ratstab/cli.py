@@ -67,6 +67,8 @@ def _finite(value, name: str) -> float:
         out = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"'{name}' must be a number, got {value!r}") from None
+    except OverflowError:  # an integer past the largest double
+        raise ConfigError(f"'{name}' must be finite, got an integer outside the float range") from None
     if not math.isfinite(out):
         raise ConfigError(f"'{name}' must be finite, got {value!r}")
     return out

@@ -50,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from . import exprlang
-from .errors import ConfigError, ContractViolation, DivergedError
+from .errors import ConfigError, ContractViolation, DivergedError, check_numbers
 from .matops import build_companion
 from .sysmodel import GainSet, SystemSpec
 
@@ -154,6 +154,7 @@ class HistoryBuffer:
 
     def value_at(self, s: float) -> np.ndarray:
         """State at an arbitrary stored time; node-aligned queries are exact."""
+        check_numbers(("time", s, True, "finite"), error=ContractViolation)
         position = (s - self.t0) / self.h
         j = int(round(position))
         if abs(position - j) <= 1e-9:
@@ -175,12 +176,8 @@ def _as_history_fn(phi, width: int | None = None) -> tuple[np.ndarray | Callable
 
 def grid_layout(tau: float, h: float, horizon: float) -> tuple[int, int]:
     """(m, steps) of a step-h grid: tau = m h and T = steps h; ConfigError if it has none."""
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ConfigError(f"step must be positive and finite, got {h!r}")
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise ConfigError(f"delay must be positive and finite, got {tau!r}")
-    if not (horizon >= h and math.isfinite(horizon)):
-        raise ConfigError(f"horizon must be finite and at least one step, got T={horizon!r}")
+    check_numbers(("step", h, h > 0.0, "positive and finite"), ("delay", tau, tau > 0.0, "positive and finite"),
+                  ("horizon", horizon, horizon >= h, "finite and at least one step"))
     if not math.isfinite(tau / h + horizon / h):
         raise ConfigError(f"too many grid nodes for tau={tau!r}, T={horizon!r} at step h={h!r}")
     m = int(round(tau / h))
@@ -358,6 +355,7 @@ class Trajectory:
         return int(round(self.tau / self.h))
 
     def index_of(self, time: float) -> int:
+        check_numbers(("time", time, True, "finite"), error=ContractViolation)
         position = (time - self.t[0]) / self.h
         j = int(round(position))
         if abs(position - j) > 1e-9 or j < 0 or j >= len(self.t):
@@ -412,9 +410,7 @@ def _closed_loop(scenario: Scenario, gains: GainSet):
         k = np.concatenate([np.zeros(n), gains.K_scaled])
         if scenario is Scenario.OBSERVER_BASED:
             return M, None, k, (plant, observer)
-        if scenario is Scenario.OUTPUT_FEEDBACK:
-            return M, None, k, (plant,)  # nonlinearity-free observer
-    raise ConfigError(f"unknown scenario {scenario!r}")
+        return M, None, k, (plant,)  # output feedback: a nonlinearity-free observer
 
 
 def _compile_loop(M, b, k, n: int, count: int, f, external):

@@ -1,6 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and its one rule for numeric arguments,
+:func:`check_numbers`: a value passes when its own condition holds and it is finite."""
 
 from __future__ import annotations
+
+import math
 
 
 class ToolkitError(Exception):
@@ -41,3 +44,13 @@ class DivergedError(ToolkitError):
 
 class OutputIOError(ToolkitError):
     """Writing an artifact (CSV, SVG, certificate) failed."""
+
+
+def check_numbers(*checks, error: type[ToolkitError] = ConfigError) -> None:
+    """Raise ``error`` at the first ``(name, value, ok, need)`` check that fails, saying
+    "<name> must be <need>, got <value!r>". A value passes when ``ok`` holds and it is
+    finite; a Python int counts as finite, as ``math.isfinite`` overflows past 1e308.
+    """
+    for name, value, ok, need in checks:
+        if not (ok and (isinstance(value, int) or math.isfinite(value))):
+            raise error(f"{name} must be {need}, got {value!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, NotHurwitzError
+from .errors import ContractViolation, NotHurwitzError, check_numbers
 
 MAX_DIM = 16
 
@@ -40,9 +40,9 @@ def _square(M) -> np.ndarray:
 
 
 def check_dimension(n) -> None:
-    """Raise ConfigError unless n is an integer in 1..MAX_DIM."""
-    if not isinstance(n, (int, np.integer)) or n < 1 or n > MAX_DIM:
-        raise ConfigError(f"dimension must be an integer in 1..{MAX_DIM}, got {n!r}")
+    """Raise ConfigError unless n is an integer in 1..MAX_DIM (True is not one)."""
+    ok = isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 1 <= n <= MAX_DIM
+    check_numbers(("dimension", n, ok, f"an integer in 1..{MAX_DIM}"))
 
 
 def build_companion(n: int):
@@ -211,7 +211,6 @@ def solve_lyapunov(a_cl) -> LyapunovCertificate:
 
 def delta_theta(theta: float, n: int) -> np.ndarray:
     """Diagonal scaling diag(1, 1/theta, ..., 1/theta^(n-1))."""
-    if not (theta > 0.0) or not math.isfinite(theta):
-        raise ConfigError(f"theta must be positive and finite, got {theta!r}")
+    check_numbers(("theta", theta, theta > 0.0, "positive and finite"))
     check_dimension(n)
     return np.diag(theta ** -np.arange(n, dtype=float))

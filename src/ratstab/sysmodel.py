@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import exprlang
-from .errors import ConfigError, NotHurwitzError
+from .errors import ConfigError, NotHurwitzError, check_numbers
 from .matops import build_companion, check_dimension, delta_theta, is_hurwitz
 
 # f(0, 0, u) = 0 is asserted on this input grid at construction time; the
@@ -167,8 +167,7 @@ def scale_gains(L, K, theta: float):
     Indices are 1-based in the formulas; both returned vectors have the
     input length n.
     """
-    if not (theta > 0.0) or not math.isfinite(theta):
-        raise ConfigError(f"theta must be positive and finite, got {theta!r}")
+    check_numbers(("theta", theta, theta > 0.0, "positive and finite"))
     L = np.asarray(L, dtype=float)
     K = np.asarray(K, dtype=float)
     if L.ndim != 1 or K.ndim != 1 or L.shape != K.shape:
@@ -233,8 +232,8 @@ def _validated_box(box, n: int) -> tuple[tuple[float, float], ...]:
     if len(pairs) != n:
         raise ConfigError(f"domain box must have {n} coordinate ranges, got {len(pairs)}")
     for i, (lo, hi) in enumerate(pairs):
-        if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-            raise ConfigError(f"domain box range {i + 1} is empty or inverted: [{lo}, {hi}]")
+        check_numbers((f"domain box range {i + 1}'s upper end", hi, True, "finite"),
+                      (f"domain box range {i + 1}'s lower end", lo, lo < hi, f"finite and below {hi!r}"))
         if not math.isfinite(hi - lo):
             raise ConfigError(f"domain box range {i + 1} has a width that overflows: [{lo}, {hi}]")
     return pairs
@@ -252,10 +251,8 @@ class SystemSpec:
 
     def __post_init__(self):
         check_dimension(self.n)
-        if not (self.tau > 0.0) or not math.isfinite(self.tau):
-            raise ConfigError(f"delay must be positive and finite, got {self.tau!r}")
-        if not (self.lipschitz_k >= 0.0) or not math.isfinite(self.lipschitz_k):
-            raise ConfigError(f"lipschitz_k must be >= 0, got {self.lipschitz_k!r}")
+        check_numbers(("delay", self.tau, self.tau > 0.0, "positive and finite"),
+                      ("lipschitz_k", self.lipschitz_k, self.lipschitz_k >= 0.0, "finite and >= 0"))
         if self.f.n != self.n:
             raise ConfigError(f"nonlinearity is {self.f.n}-dimensional, system is {self.n}")
         box = self.domain_box if self.domain_box is not None else ((-10.0, 10.0),) * self.n
@@ -300,14 +297,13 @@ def estimate_lipschitz(f: Nonlinearity, box: Sequence, samples: int = 2000, seed
     ``max(samples, 1809)`` rows each: a sweep along one axis takes its
     3 anchors x 3 inputs x 201 nodes in one batch and their
     finite-difference partners in another.
-    Deterministic for a fixed seed, which must be >= 0. This is advisory:
+    Deterministic for a fixed seed, which must be an integer >= 0. This is advisory:
     a true Lipschitz constant is at least the returned value, which is inf
     when f is not finite at some probe.
     """
-    if samples < 100:
-        raise ConfigError(f"need at least 100 samples, got {samples}")
-    if seed < 0:
-        raise ConfigError(f"the advisory seed must be >= 0, got {seed}")
+    check_numbers(("samples", samples, samples >= 100, "at least 100"),
+                  ("the advisory seed", seed, seed >= 0, ">= 0"),
+                  ("the advisory seed", seed, isinstance(seed, (int, np.integer)), "an integer"))
     n = f.n
     pairs = _validated_box(box, n)
     lo = np.array([p[0] for p in pairs] * 2)  # x block then xd block

@@ -330,7 +330,12 @@ def test_plot_points_match_per_point_formatting(tmp_path, log_y, count):
     pytest.param([], False, id="no-curve"),
     pytest.param([("a", np.arange(3.0), np.arange(4.0))], False, id="mismatched"),
     pytest.param([("a", np.arange(3.0), np.ones(3)), ("b", np.arange(3.0), np.zeros(3))], True,
-                 id="log-of-zero")])
+                 id="log-of-zero"),
+    # numpy must not warn on the way: the suite turns a RuntimeWarning into an error
+    pytest.param([("a", np.arange(3.0), np.array([1.0, math.nan, 2.0]))], False, id="nan"),
+    pytest.param([("a", np.arange(3.0), np.array([1.0, math.inf, 2.0]))], False, id="inf"),
+    pytest.param([("a", np.array([0.0, 1.0, math.inf]), np.ones(3))], False, id="inf-time"),
+    pytest.param([("a", np.arange(3.0), np.array([1.0, math.inf, 2.0]))], True, id="log-of-inf")])
 def test_plot_input_errors_leave_no_file(tmp_path, curves, log_y):
     with pytest.raises(ContractViolation):
         analyze.emit_plot(curves, tmp_path / "bad.svg", log_y=log_y)
@@ -375,3 +380,40 @@ def test_fit_tail_needs_ten_samples():
     assert (fit, count) == (None, 9)
     fit, count = analyze.fit_tail(t, np.exp(-t), 1.0)
     assert fit is not None and count == 10
+
+
+@pytest.mark.parametrize("rate, tol, message", [
+    (math.nan, 1e-3, "rate must be finite and >= 0, got nan"),
+    (1.0, math.nan, "tol must be finite and >= 0, got nan"),
+    (1.0, math.inf, "tol must be finite and >= 0, got inf"),
+    (1.0, -1e-3, "tol must be finite and >= 0, got -0.001"),
+], ids=["rate_nan", "tol_nan", "tol_inf", "tol_negative"])
+def test_verify_decay_rejects_non_finite_rate_and_tol(rate, tol, message):
+    # a growing series: with tol = nan no step was flagged, so it read as decaying
+    t = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ContractViolation) as caught:
+        rs.verify_decay(t, np.exp(t), rate=rate, tol=tol)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("t, y, points", [
+    pytest.param([2.0], [3.0], "425.00,237.50", id="single-point"),
+    pytest.param([0.0, 1.0, 2.0], [3.0, 3.0, 3.0], "70.00,237.50 425.00,237.50 780.00,237.50",
+                 id="constant"),
+])
+def test_plot_widens_an_empty_axis_range(tmp_path, t, y, points):
+    # a zero-width range becomes one unit wide around its value
+    path = tmp_path / "flat.svg"
+    analyze.emit_plot([("a", t, y)], path)
+    assert re.findall(r'<polyline points="([^"]*)"', path.read_text()) == [points]
+
+
+def test_plot_io_error(tmp_path):
+    t = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(OutputIOError, match="cannot write SVG"):
+        analyze.emit_plot([("a", t, t)], tmp_path / "missing" / "plot.svg")
+
+
+def test_read_csv_of_a_directory_is_an_io_error(tmp_path):
+    with pytest.raises(OutputIOError, match="cannot read CSV"):
+        analyze.read_csv(tmp_path)

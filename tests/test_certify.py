@@ -416,3 +416,32 @@ def test_certify_gains_rejects_an_overflowing_lyapunov_solve():
     gains = rs.GainSet(L=[-14.0, -28.0], K=[-1e200, -2.0], theta=8.0)
     with pytest.raises(NotHurwitzError):
         rs.certify_gains(gains, tau=1.0, k=0.5, advisory=0.0)
+
+
+# one call per case with a single nan or inf argument; every other argument is valid
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: rs.select_alpha_output_feedback(1.0, 1.0, math.nan, 1.0), ConditionsNotSatisfiedError,
+     "k must be finite and >= 0, got nan"),
+    (lambda: rs.select_alpha_output_feedback(math.nan, 1.0, 0.5, 1.0), ConditionsNotSatisfiedError,
+     "c must be finite and > 0, got nan"),
+    (lambda: rs.select_alpha_observer_based(8.0, math.nan, C_REF, NORM_S_REF, 1.0),
+     ConditionsNotSatisfiedError, "a must be finite and > 0, got nan"),
+    (lambda: rs.select_alpha_observer_based(8.0, A_REF, C_REF, NORM_S_REF, 1.0, margin=math.inf),
+     ConfigError, "margin must be finite and > 0, got inf"),
+    (lambda: rs.FunctionalSpec(matrix=np.eye(2), theta=math.inf, tau=1.0), ConfigError,
+     "theta must be finite and > 1, got inf"),
+    (lambda: rs.FunctionalSpec(matrix=np.eye(2), theta=4.0, tau=math.inf), ConfigError,
+     "tau must be finite and > 0, got inf"),
+    (lambda: rs.rational_bound(unit_params(), 1.0, math.nan), ContractViolation,
+     "t must be finite and >= 0, got nan"),
+    (lambda: rs.rational_bound(unit_params(), 1.0, math.inf), ContractViolation,
+     "t must be finite and >= 0, got inf"),
+    (lambda: rs.corollary_k(2.0, math.inf), ContractViolation, "r3 must be finite and > r2 = 2.0, got inf"),
+    (lambda: unit_params(r3=math.inf), ConfigError, "r3 must be finite and > r2 = 2.0, got inf"),
+], ids=["output_feedback_k_nan", "output_feedback_c_nan", "observer_based_a_nan",
+        "observer_based_margin_inf", "functional_theta_inf", "functional_tau_inf",
+        "rational_bound_t_nan", "rational_bound_t_inf", "corollary_k_r3_inf", "stability_params_r3_inf"])
+def test_non_finite_arguments_are_rejected(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message

@@ -619,6 +619,10 @@ def _tweak(key, value):
     ("certify", _tweak("gains.L", [-14.0]), [], 2, "'L' must be a list of 2 numbers"),
     ("certify", _tweak("system.tau", "abc"), [], 2, "'tau' must be a number, got 'abc'"),
     ("certify", _tweak("system.tau", math.inf), [], 2, "'tau' must be finite, got inf"),
+    ("certify", _tweak("system.tau", 10 ** 399), [], 2,
+     "'tau' must be finite, got an integer outside the float range"),
+    ("certify", _tweak("gains.L", [-14.0, -10 ** 399]), [], 2,
+     "'L[1]' must be finite, got an integer outside the float range"),
     ("certify", _with("gains", []), [], 2, "section 'gains' must be a table of keys"),
     ("certify", lambda cfg: [], [], 2, "config root must be an object with sections"),
     ("certify", _without("gains"), [], 2, "missing section 'gains'"),
@@ -628,7 +632,8 @@ def _tweak(key, value):
         "history_is_a_number", "history_constant", "f_is_a_number", "n_is_a_float",
         "seed_is_a_float", "domain_box_is_a_number", "domain_box_is_empty", "domain_box_pair_is_short",
         "L_is_short", "tau_is_text",
-        "tau_is_infinity", "gains_is_a_list", "root_is_a_list", "gains_missing",
+        "tau_is_infinity", "tau_is_a_400_digit_integer", "L_entry_is_a_400_digit_integer",
+        "gains_is_a_list", "root_is_a_list", "gains_missing",
         "directory_is_a_number", "emit_plots_is_text"])
 def test_config_input_errors(tmp_path, capsys, monkeypatch, command, edit, flags, code, message):
     monkeypatch.chdir(tmp_path)  # a default relative output directory would land here
@@ -652,3 +657,28 @@ def test_dimension_out_of_range_is_named(tmp_path, capsys, command, n):
     assert cli.main([command, "--config", path]) == 2
     assert capsys.readouterr().err == f"error: dimension must be an integer in 1..16, got {n}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, tweaks", [
+    (["--seed", "1" + "0" * 399], {}), ([], {"sim.seed": 10 ** 399}),
+], ids=["flag", "config"])
+def test_a_400_digit_advisory_seed_certifies(tmp_path, capsys, flags, tweaks):
+    path = write_config(tmp_path, base_config(tmp_path / "out", **tweaks))
+    assert cli.main(["certify", "--config", path] + flags) == 0
+    assert "  overall: PASS\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("blocker, message", [
+    ("out", "cannot create output directory"),
+    ("out/certificate.json", "cannot write certificate"),
+], ids=["out_is_a_file", "certificate_is_a_directory"])
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, blocker, message):
+    out = tmp_path / "out"
+    if blocker == "out":
+        out.write_text("a file, not a directory\n")
+    else:
+        (tmp_path / blocker).mkdir(parents=True)
+    path = write_config(tmp_path, base_config(out))
+    assert cli.main(["certify", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message} ") and err.count("\n") == 1

@@ -900,3 +900,36 @@ def test_grid_beyond_memory_is_a_config_error():
     # 1e15 nodes of 4 doubles: 28 PiB, past any 48-bit address space, so it fails at once
     with pytest.raises(ConfigError, match="1e\\+15 nodes does not fit in memory"):
         rs.integrate(lambda t, x, xd: -xd, np.zeros(4), tau=1.0, h=0.01, horizon=1e13)
+
+
+def test_history_that_changes_length_after_its_probe_is_a_config_error():
+    # the probe at s = 0 sets the width to 1; every later sample has 2 entries
+    calls = []
+
+    def phi(s):
+        calls.append(s)
+        return [1.0] if len(calls) == 1 else [1.0, 2.0]
+
+    with pytest.raises(ConfigError, match="history function must return length-1 vectors"):
+        rs.integrate(lambda t, x, xd: -xd, phi, tau=0.1, h=0.05, horizon=0.1)
+
+
+def test_trajectory_without_observer_has_no_eta(bench_system, bench_gains):
+    traj = rs.run_scenario(bench_system, bench_gains, rs.Scenario.STATE_FEEDBACK, BENCH_X0,
+                           h=0.01, horizon=0.1)
+    assert traj.eta() is None and traj.norm_err() is None
+
+
+@pytest.mark.parametrize("lookup", [
+    pytest.param(lambda traj, buffer: traj.index_of(math.nan), id="index_of-nan"),
+    pytest.param(lambda traj, buffer: traj.index_of(math.inf), id="index_of-inf"),
+    pytest.param(lambda traj, buffer: buffer.value_at(math.nan), id="value_at-nan"),
+    pytest.param(lambda traj, buffer: buffer.value_at(-math.inf), id="value_at-minus-inf"),
+])
+def test_a_non_finite_time_is_a_contract_violation(lookup):
+    t, states = rs.integrate(lambda t, x, xd: -xd, np.array([1.0]), tau=0.1, h=0.05, horizon=0.1)
+    traj = rs.Trajectory(t=t, x=states, xhat=None, u=np.zeros(len(t)), theta=1.0, tau=0.1, h=0.05)
+    buffer = HistoryBuffer(t0=-0.1, h=0.05, capacity=len(t), width=1)
+    buffer.seed(states, np.zeros_like(states))
+    with pytest.raises(ContractViolation, match="^time must be finite, got -?(nan|inf)$"):
+        lookup(traj, buffer)

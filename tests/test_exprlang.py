@@ -387,3 +387,9 @@ def test_size_guard_at_and_past_the_cap():
     with pytest.raises(ExprSyntaxError, match="more than 10000 tokens") as caught:
         el.parse(past)
     assert caught.value.offset == len(past) - 2  # the last x1, the first token past the cap
+
+
+def test_unclosed_call_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError, match="expected '\\)'") as err:
+        el.parse("sin(x1")
+    assert err.value.offset == 6

@@ -32,7 +32,7 @@ def test_companion_n3_pattern():
     assert np.array_equal(A, expected)
 
 
-@pytest.mark.parametrize("n", [0, -1, 17, 2.5])
+@pytest.mark.parametrize("n", [0, -1, 17, 2.5, True])
 def test_companion_rejects_bad_dimension(n):
     with pytest.raises(ConfigError):
         rs.build_companion(n)
@@ -253,3 +253,17 @@ def test_delta_theta_conjugation_identities():
             left = delta @ A @ delta_inv
             assert np.max(np.abs(left - theta * A)) <= 1e-12 * max(1.0, theta)
             assert np.max(np.abs(C @ delta_inv - C)) <= 1e-12
+
+
+@pytest.mark.parametrize("M", [
+    pytest.param(np.zeros((3, 3)), id="zero"),
+    pytest.param(np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [1.0, 0.0, 4.0]]), id="zero-pair"),
+])
+def test_jacobi_on_zero_entries(M):
+    # the 3 x 3 case runs the Jacobi sweeps, which skip a pair that is already zero
+    assert np.allclose(rs.sym_eigenvalues(M), np.linalg.eigvalsh(M), rtol=0.0, atol=1e-14)
+
+
+def test_lyapunov_rejects_an_infinite_entry():
+    with pytest.raises(ContractViolation, match="matrix entries must be finite"):
+        rs.solve_lyapunov(np.array([[-1.0, math.inf], [0.0, -1.0]]))

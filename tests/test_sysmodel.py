@@ -489,3 +489,31 @@ def test_column_function_compiles_on_the_first_rows_call(bench_gains, monkeypatc
     for _ in range(2):
         assert np.array_equal(f.rows(X, XD, U), np.column_stack(eager(X.T, XD.T, U)))
     assert compiled == [False, True]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Nonlinearity(2), "exactly one of components/fn must be given"),
+    (lambda: Nonlinearity(2, components=[el.parse("0")]), "expected 2 component expressions, got 1"),
+    (lambda: rs.scale_gains(BENCH_L, BENCH_K[:1], 2.0), "L and K must be one-dimensional vectors of equal length"),
+    (lambda: rs.scale_gains(BENCH_L, BENCH_K, math.nan), "theta must be positive and finite, got nan"),
+    (lambda: rs.estimate_lipschitz(rs.make_nonlinearity("zero", 2), [(-5, 5), (-5, 5)], seed=1.5),
+     "the advisory seed must be an integer, got 1.5"),
+    (lambda: rs.estimate_lipschitz(rs.make_nonlinearity("zero", 2), [(-5, 5), (-5, 5)], seed=math.nan),
+     "the advisory seed must be >= 0, got nan"),
+    (lambda: rs.SystemSpec(n=2, tau=1.0, f=rs.make_nonlinearity("zero", 2), lipschitz_k=math.inf),
+     "lipschitz_k must be finite and >= 0, got inf"),
+    (lambda: rs.SystemSpec(n=2, tau=1.0, f=rs.make_nonlinearity("zero", 2), lipschitz_k=0.0,
+                           domain_box=[(-1.0, 1.0), (math.nan, 1.0)]),
+     "domain box range 2's lower end must be finite and below 1.0, got nan"),
+], ids=["neither_components_nor_fn", "too_few_components", "gain_lengths_differ", "theta_nan",
+        "seed_not_an_integer", "seed_nan", "lipschitz_k_inf", "box_end_nan"])
+def test_construction_input_errors(call, message):
+    with pytest.raises(ConfigError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+def test_lipschitz_takes_a_seed_past_the_largest_double():
+    # a 400-digit seed is an integer >= 0 that math.isfinite could not convert
+    f = rs.make_nonlinearity("zero", 2)
+    assert rs.estimate_lipschitz(f, [(-5, 5), (-5, 5)], samples=100, seed=10 ** 399) == 0.0

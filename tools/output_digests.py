@@ -16,7 +16,9 @@ that holds this file:
 - ``repro-paper --step -1``, an input error found before anything is
   printed or written;
 - ``certify`` and ``synthesize`` on the built-in reference config with
-  K = [-1e200, -2], whose Lyapunov solve overflows and is rejected.
+  K = [-1e200, -2], whose Lyapunov solve overflows and is rejected;
+- ``certify`` on the built-in reference config with ``tau`` written as a
+  400-digit integer, which no double holds: an input error.
 
 Run it with ``PYTHONWARNINGS=error::RuntimeWarning`` and a numpy warning
 in any of these runs fails the tool.
@@ -111,6 +113,11 @@ def digests(seeds: list, work: Path) -> list:
     out = work / "huge-gain"
     lines += run("huge-gain certify", ["certify", "--config", str(config), "--out", str(out)], work, out)
     lines += run("huge-gain synthesize", ["synthesize", "--config", str(config)], work)
+    config = work / "huge-tau.json"
+    config.write_text(json.dumps({**cli._REFERENCE_CONFIG,
+                                  "system": {**cli._REFERENCE_CONFIG["system"], "tau": 10 ** 399}}))
+    out = work / "huge-tau"
+    lines += run("huge-tau certify", ["certify", "--config", str(config), "--out", str(out)], work, out)
     return lines
 
 
