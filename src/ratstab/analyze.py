@@ -65,32 +65,42 @@ class DecayFit:
     preferred: str
 
 
-def _least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    slope, intercept = np.polyfit(x, y, 1)
-    residual = y - (slope * x + intercept)
+def _least_squares_line(x: np.ndarray, y: np.ndarray, name: str) -> tuple[float, float]:
+    # slope and r^2 of the least-squares line through (x, y), in centred closed form
+    if not np.min(x) < np.max(x):
+        raise ContractViolation(f"{name} takes one value, {float(x[0])!r}: no line to fit")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing spread is refused below
+        dx = x - np.mean(x)
+        sxx = float(dx @ dx)
+    if not sxx < math.inf:
+        raise ContractViolation(f"the squared deviations of {name} overflow: no line to fit")
     total = y - np.mean(y)
+    slope = float(dx @ total) / sxx
+    residual = total - slope * dx
     ss_res = float(residual @ residual)
     ss_tot = float(total @ total)
     if ss_tot <= 1e-300:
         r2 = 1.0 if ss_res <= 1e-12 else 0.0
     else:
         r2 = max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    return float(slope), r2
+    return slope, r2
 
 
 def fit_envelope(t, y) -> DecayFit:
-    """Fit both decay models to a positive series and pick the better one."""
+    """Fit both decay models to a positive series over a finite t that spreads, and pick the better."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.ndim != 1 or y.shape != t.shape or len(t) < 10:
         raise ContractViolation("need matching 1-D series with at least 10 samples")
     if np.any(y <= 0.0) or not np.all(np.isfinite(y)):
         raise ContractViolation("series must be strictly positive and finite")
+    if not np.all(np.isfinite(t)):
+        raise ContractViolation("t must be finite")
     if np.any(1.0 + t <= 0.0):
         raise ContractViolation("rational model needs 1 + t > 0 over the series")
     log_y = np.log(y)
-    exp_slope, exp_r2 = _least_squares_line(t, log_y)
-    rat_slope, rat_r2 = _least_squares_line(np.log1p(t), log_y)
+    exp_slope, exp_r2 = _least_squares_line(t, log_y, "t")
+    rat_slope, rat_r2 = _least_squares_line(np.log1p(t), log_y, "log1p(t)")
     return DecayFit(
         exp_rate=-exp_slope,
         exp_r2=exp_r2,

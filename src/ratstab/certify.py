@@ -166,7 +166,9 @@ def select_alpha_observer_based(theta: float, a: float, c: float, norm_s: float,
     """
     check_numbers(("margin", margin, margin > 0.0, "finite and > 0"))
     check_numbers(("a", a, a > 0.0, "finite and > 0"), ("c", c, c > 0.0, "finite and > 0"),
-                  error=ConditionsNotSatisfiedError)
+                  ("theta", theta, theta > 0.0, "finite and > 0"),
+                  ("norm_s", norm_s, norm_s >= 0.0, "finite and >= 0"),
+                  ("norm_k", norm_k, norm_k >= 0.0, "finite and >= 0"), error=ConditionsNotSatisfiedError)
     threshold = 2.0 * (theta / a) * (theta / c) * (norm_s * norm_k) ** 2
     alpha = margin if threshold == 0.0 else (1.0 + margin) * threshold
     return alpha, threshold
@@ -244,9 +246,10 @@ class Certification:
 
 
 def certify_gains(gains, tau: float, k: float, advisory: float) -> Certification:
-    """Solve both Lyapunov equations of a GainSet and evaluate the certificate."""
+    """Solve both Lyapunov equations of a GainSet (theta >= 1) and evaluate the certificate."""
     # below 1 the certified decay rate ln(theta) / (2 tau) would be negative
-    check_numbers(("theta", gains.theta, gains.theta >= 1.0, "at least 1 to certify decay"))
+    check_numbers(("theta", gains.theta, gains.theta >= 1.0, "at least 1 to certify decay"),
+                  ("tau", tau, tau > 0.0, "finite and > 0"), ("k", k, k >= 0.0, "finite and >= 0"))
     cert_p = matops.solve_lyapunov(gains.A_L)
     cert_s = matops.solve_lyapunov(gains.A_K)
     report = build_report(gains.theta, tau, cert_p.spectral_norm, cert_s.spectral_norm, k)
@@ -353,8 +356,9 @@ def krasovskii_value(spec: FunctionalSpec, history, t: float) -> float:
     ``history`` holds uniform samples of the transformed state on
     [t - tau, t], one row per node, ending at time t. The integral is a
     trapezoid rule on that grid; the weight is computed in the shifted
-    exponent form so large t cannot overflow.
+    exponent form so large t cannot overflow. V does not depend on t, which must be finite.
     """
+    check_numbers(("t", t, True, "finite"), error=ContractViolation)
     window = np.asarray(history, dtype=float)
     if window.ndim == 1:
         window = window[:, None]

@@ -10,6 +10,7 @@ power-of-theta pattern.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -113,16 +114,16 @@ class Nonlinearity:
 
     def _probe_triangularity(self):
         # opaque callable: randomized probing of coordinates j > i
-        rng = np.random.default_rng(12345)
+        rng = random.Random(12345)
         for _ in range(6):
-            x = rng.uniform(-3.0, 3.0, self.n)
-            xd = rng.uniform(-3.0, 3.0, self.n)
-            u = float(rng.uniform(-2.0, 2.0))
+            x = np.array([rng.uniform(-3.0, 3.0) for _ in range(self.n)])
+            xd = np.array([rng.uniform(-3.0, 3.0) for _ in range(self.n)])
+            u = rng.uniform(-2.0, 2.0)
             base = self(x, xd, u)
             for j in range(1, self.n):
                 for arr in (x, xd):
                     bumped = arr.copy()
-                    bumped[j] += float(rng.uniform(0.5, 1.5))
+                    bumped[j] += rng.uniform(0.5, 1.5)
                     out = self(bumped, xd, u) if arr is x else self(x, bumped, u)
                     drift = np.max(np.abs(out[:j] - base[:j]))
                     if drift > _ZERO_TOL * (1.0 + np.max(np.abs(base[:j]))):
@@ -277,11 +278,17 @@ def _norm(d: np.ndarray) -> np.ndarray:
 
 
 def _top_quotient(fp: np.ndarray, fq: np.ndarray, gap: np.ndarray) -> float:
-    # largest |f(p) - f(q)| / |p - q| over the rows, given f(p), f(q) and |p - q|;
-    # p = q reads 0, nan (f not finite) reads inf
+    # largest |f(p) - f(q)| / |p - q| over the rows, given f(p), f(q) and |p - q|; p = q reads 0,
+    # nan (f not finite) reads inf. Taken at 1/16 scale, exact for doubles of normal size, so that
+    # f(p) - f(q) and its norm stay finite for a finite f; np.max passes a nan row on
     with np.errstate(all="ignore"):
-        ratio = _norm(fp - fq) / np.where(gap == 0.0, np.inf, gap)
-    return float(np.max(np.where(np.isnan(ratio), np.inf, ratio)))
+        best = float(np.max(_norm(fp * 0.0625 - fq * 0.0625) / (np.where(gap == 0.0, np.inf, gap) * 0.0625)))
+    return math.inf if math.isnan(best) else best
+
+
+def _unit_draws(rng: random.Random, *shape: int) -> np.ndarray:
+    # uniform [0, 1) numbers of 32 random bits each, from the stream's next 4 bytes apiece
+    return (np.frombuffer(rng.randbytes(4 * math.prod(shape)), dtype="<u4") * 2.0 ** -32).reshape(shape)
 
 
 def estimate_lipschitz(f: Nonlinearity, box: Sequence, samples: int = 2000, seed: int = 0) -> float:
@@ -297,6 +304,8 @@ def estimate_lipschitz(f: Nonlinearity, box: Sequence, samples: int = 2000, seed
     ``max(samples, 1809)`` rows each: a sweep along one axis takes its
     3 anchors x 3 inputs x 201 nodes in one batch and their
     finite-difference partners in another.
+    The probes take 32 random bits per coordinate from ``random.Random(seed)``, in
+    this order: the pairs, the finite-difference probes, the two random sweep anchors.
     Deterministic for a fixed seed, which must be an integer >= 0. This is advisory:
     a true Lipschitz constant is at least the returned value, which is inf
     when f is not finite at some probe.
@@ -309,7 +318,7 @@ def estimate_lipschitz(f: Nonlinearity, box: Sequence, samples: int = 2000, seed
     lo = np.array([p[0] for p in pairs] * 2)  # x block then xd block
     hi = np.array([p[1] for p in pairs] * 2)
     width = hi - lo
-    rng = np.random.default_rng(seed)
+    rng = random.Random(int(seed))  # Random rejects a numpy integer seed
 
     def value(points: np.ndarray, u) -> np.ndarray:
         return f.rows(points[:, :n], points[:, n:], np.broadcast_to(u, len(points)))
@@ -320,7 +329,7 @@ def estimate_lipschitz(f: Nonlinearity, box: Sequence, samples: int = 2000, seed
 
     # the same stream as drawing p, q per sample, then one p per sample, then the anchors
     u_cycle = np.resize(np.asarray(U_ZERO_GRID), samples)
-    pairs = lo + rng.random((samples, 2, 2 * n)) * width
+    pairs = lo + _unit_draws(rng, samples, 2, 2 * n) * width
     p, q = pairs[:, 0], pairs[:, 1]
     with np.errstate(over="ignore"):  # a gap past the largest double is inf
         gap = _norm(p - q)
@@ -328,7 +337,7 @@ def estimate_lipschitz(f: Nonlinearity, box: Sequence, samples: int = 2000, seed
 
     rows = np.arange(samples)
     axis = rows % (2 * n)
-    p = lo + rng.random((samples, 2 * n)) * width
+    p = lo + _unit_draws(rng, samples, 2 * n) * width
     q = p.copy()
     x = p[rows, axis]
     q[rows, axis] = moved = fd_partner(x, axis)
@@ -337,7 +346,7 @@ def estimate_lipschitz(f: Nonlinearity, box: Sequence, samples: int = 2000, seed
     # per-axis sweeps from fixed anchors, probing each grid node inward at edges: one
     # batch per axis, laid out (anchor, u, node); every pair differs along axis c only,
     # so its gap is a step of the grid or to the partner
-    anchors = np.array([0.5 * (lo + hi)] + [lo + rng.random(2 * n) * width for _ in range(2)])
+    anchors = np.vstack([0.5 * (lo + hi), lo + _unit_draws(rng, 2, 2 * n) * width])
     starts = np.repeat(anchors, len(_SWEEP_U), axis=0)[:, None, :]
     u = np.repeat(np.tile(_SWEEP_U, len(anchors)), _SWEEP_NODES)
     for c in range(2 * n):

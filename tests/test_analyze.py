@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from xml.etree import ElementTree
 
 import numpy as np
@@ -84,6 +85,30 @@ def test_fit_envelope_contract():
         rs.fit_envelope(t[:5], np.ones(5))
     with pytest.raises(ContractViolation, match="1 \\+ t > 0"):
         rs.fit_envelope(t - 1.0, np.ones(20))
+
+
+@pytest.mark.parametrize("t, message", [
+    (np.full(20, 3.0), "t takes one value, 3.0: no line to fit"),
+    (np.r_[np.linspace(0.0, 1.0, 19), np.inf], "t must be finite"),
+    (np.r_[np.linspace(0.0, 1.0, 19), np.nan], "t must be finite"),
+    (1e17 + 16.0 * (np.arange(20) % 2), "log1p\\(t\\) takes one value"),
+    (np.linspace(1e307, 1.7e308, 20), "the squared deviations of t overflow"),
+], ids=["one_repeated_t", "infinite_t", "nan_t", "log1p_t_rounds_to_one_value", "spread_overflows"])
+def test_fit_envelope_needs_a_finite_t_with_a_spread(t, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolation, match=message):
+            rs.fit_envelope(t, np.exp(-np.arange(20.0)))
+
+
+def test_fit_envelope_matches_a_polynomial_fit():
+    # the closed-form line is the least-squares line that np.polyfit finds
+    rng = np.random.default_rng(19)
+    t = np.sort(rng.uniform(0.0, 30.0, 500))
+    y = np.exp(-0.7 * t) * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, 500))
+    fit = rs.fit_envelope(t, y)
+    for x, slope in ((t, -fit.exp_rate), (np.log1p(t), -fit.rational_exponent)):
+        assert slope == pytest.approx(np.polyfit(x, np.log(y), 1)[0], rel=1e-12)
 
 
 def _synthetic_trajectory(scale=1.0, rate=1.0, h=0.01, horizon=5.0, tau=1.0):

@@ -445,3 +445,38 @@ def test_non_finite_arguments_are_rejected(call, error, message):
     with pytest.raises(error) as caught:
         call()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("tau, k, message", [
+    (math.nan, 0.5, "tau must be finite and > 0, got nan"),
+    (0.0, 0.5, "tau must be finite and > 0, got 0.0"),
+    (1.0, math.inf, "k must be finite and >= 0, got inf"),
+    (1.0, -0.5, "k must be finite and >= 0, got -0.5"),
+], ids=["tau_nan", "tau_zero", "k_inf", "k_negative"])
+def test_certify_gains_rejects_a_bad_delay_or_lipschitz_constant(tau, k, message):
+    # without the check a nan tau or an infinite k gave a FAIL certificate with exit code 1
+    gains = rs.GainSet(L=[-14.0, -28.0], K=[-30.0, -30.0], theta=8.0)
+    with pytest.raises(ConfigError) as caught:
+        rs.certify_gains(gains, tau=tau, k=k, advisory=0.0)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("args, message", [
+    ((math.nan, A_REF, C_REF, NORM_S_REF, 1.0), "theta must be finite and > 0, got nan"),
+    ((8.0, A_REF, C_REF, math.inf, 1.0), "norm_s must be finite and >= 0, got inf"),
+    ((8.0, A_REF, C_REF, NORM_S_REF, math.nan), "norm_k must be finite and >= 0, got nan"),
+], ids=["theta_nan", "norm_s_inf", "norm_k_nan"])
+def test_alpha_observer_based_rejects_non_finite_inputs(args, message):
+    # a nan theta returned (nan, nan)
+    with pytest.raises(ConditionsNotSatisfiedError) as caught:
+        rs.select_alpha_observer_based(*args)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_krasovskii_value_needs_a_finite_time(t):
+    # V does not depend on t, which only names the window's end, but t must be a time
+    spec = rs.FunctionalSpec(matrix=np.eye(2), theta=4.0, tau=1.0)
+    assert rs.krasovskii_value(spec, np.ones((11, 2)), 3.0) == rs.krasovskii_value(spec, np.ones((11, 2)), 1e6)
+    with pytest.raises(ContractViolation, match=f"t must be finite, got {t}"):
+        rs.krasovskii_value(spec, np.ones((11, 2)), t)

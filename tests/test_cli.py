@@ -1,7 +1,10 @@
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -682,3 +685,43 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys, blocker, message)
     assert cli.main(["certify", "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("t_cells, message", [
+    (["3"] * 20, "error: t takes one value, 3.0: no line to fit\n"),
+    ([str(i) for i in range(19)] + ["inf"], "error: t must be finite\n"),
+], ids=["one_repeated_t", "infinite_t"])
+def test_fit_on_a_degenerate_time_column_is_an_input_error(tmp_path, capsys, t_cells, message):
+    path = tmp_path / "degenerate.csv"
+    path.write_text("t,x1\n" + "".join(f"{t},{2.0 ** -i}\n" for i, t in enumerate(t_cells)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["fit", str(path), "--column", "x1"]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
+_IMPORT_PROBE = """
+import json, sys
+import numpy
+heavy = ("numpy.random", "secrets", "hashlib")
+before = {name for name in heavy if name in sys.modules}
+from ratstab import cli
+out, config = sys.argv[1:]
+codes = [cli.main(["repro-paper", "--out", out]), cli.main(["certify", "--config", config]),
+         cli.main(["simulate", "--config", config]),
+         cli.main(["fit", out + "/repro_trajectory.csv", "--skip", "1"])]
+print(json.dumps([codes, sorted(name for name in heavy if name in sys.modules and name not in before)]))
+"""
+
+
+def test_certify_and_simulate_leave_numpy_random_unimported(tmp_path):
+    # numpy.random imports secrets, hmac and hashlib, which loads OpenSSL: several MB of
+    # peak RSS for a few thousand uniform draws, which the advisory takes from random instead.
+    # Only what ratstab adds counts: numpy 1.x imports numpy.random itself
+    src = str(Path(rs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    config = write_config(tmp_path, base_config(tmp_path / "out"))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "repro"), config],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0, 0], []]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import struct
 
 import numpy as np
@@ -195,14 +196,15 @@ def test_lipschitz_input_validation():
 
 
 def test_lipschitz_expression_goldens():
-    # values of the per-point sampler; they pin the seeded probe stream and its order.
-    # The first two maxima come from the finite-difference probes; the third f is
-    # steepest along diagonals, which only the random pairs probe
+    # values of the per-sweep reference sampler; they pin the seeded probe stream and its
+    # order. The finite-difference probes set the first f's maxima and the second's at the
+    # defaults, an axis sweep the second's at 300 samples; the third f is steepest along
+    # diagonals, which only the random pairs probe
     cases = [
         (["tanh(x1) - 0.3*xd1", "0.5*sin(x2)*x1 + xd2"], 3.0,
-         1.3403139534154955, 1.461536322520866),
-        (["sin(x1)*xd1", "tanh(x2)", "x3*xd1"], 2.0, 2.1618587424027322, 2.214219713489688),
-        (["tanh(x1 + xd1)", "x2 - xd2"], 3.0, 1.39461232354662, 1.4074727715760342),
+         1.4567524924309279, 1.4872005150697425),
+        (["sin(x1)*xd1", "tanh(x2)", "x3*xd1"], 2.0, 2.193460334454972, 2.2314491896857795),
+        (["tanh(x1 + xd1)", "x2 - xd2"], 3.0, 1.4062732894101233, 1.4108161675212036),
     ]
     for texts, radius, at_300_seed_7, at_defaults in cases:
         f = rs.make_nonlinearity(texts, len(texts))
@@ -210,6 +212,22 @@ def test_lipschitz_expression_goldens():
         est = rs.estimate_lipschitz(f, box, samples=300, seed=7)
         assert est == pytest.approx(at_300_seed_7, rel=1e-13)
         assert rs.estimate_lipschitz(f, box) == pytest.approx(at_defaults, rel=1e-13)
+
+
+def test_lipschitz_accepts_a_numpy_integer_seed():
+    # random.Random rejects an np.int64 seed; the sampler seeds it with the equal int
+    f = rs.make_nonlinearity(["tanh(x1) - 0.3*xd1", "0.5*sin(x2)*x1 + xd2"], 2)
+    box = [(-3.0, 3.0)] * 2
+    assert rs.estimate_lipschitz(f, box, seed=np.int64(3)) == rs.estimate_lipschitz(f, box, seed=3)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lipschitz_of_a_finite_f_near_the_largest_double_stays_finite(seed):
+    # f reaches 1.2e308, so f(p) - f(q) of a random pair can pass the largest double; that
+    # overflow is no sign of a steep f: F = [[0.5, 0, -1, 0], [0, 0, 0, 1]] bounds every quotient
+    f = rs.make_nonlinearity(["0.5*x1 - xd1", "xd2"], 2)
+    est = rs.estimate_lipschitz(f, [(-8e307, 8e307), (-1.0, 1.0)], samples=200, seed=seed)
+    assert 1.0 <= est <= math.sqrt(1.25) * (1.0 + 1e-12)
 
 
 def test_lipschitz_non_finite_f_reads_inf():
@@ -239,20 +257,30 @@ def test_lipschitz_of_linear_f_lies_between_column_and_spectral_norm(seed):
 def _per_sweep_lipschitz(f, box, samples, seed):
     """Reference sampler on the same seeded probes: every quotient takes full
     np.hypot.reduce norms of p - q and f(p) - f(q), and f runs on 201 rows
-    per anchor, input and axis. estimate_lipschitz must return the same double."""
+    per anchor, input and axis. estimate_lipschitz must return the same double.
+
+    The probes follow the documented stream: each coordinate is the next 4 bytes of
+    random.Random(seed), read as a little-endian integer over 2^32, drawn point by
+    point: p then q for every pair, then the finite-difference points, then two anchors."""
     n = f.n
     lo = np.array([float(p[0]) for p in box] * 2)
     hi = np.array([float(p[1]) for p in box] * 2)
     width = hi - lo
-    rng = np.random.default_rng(seed)
+    stream = random.Random(seed)
+
+    def point():
+        return lo + np.array([int.from_bytes(stream.randbytes(4), "little") / 2**32
+                              for _ in range(2 * n)]) * width
 
     def value(points, u):
         return f.rows(points[:, :n], points[:, n:], np.broadcast_to(u, len(points)))
 
     def top_quotient(p, q, fp, fq):
+        # f(p) - f(q) at 1/16 scale, so that it does not overflow for a finite f; for doubles
+        # of normal size the scaled quotient equals the unscaled one
         with np.errstate(all="ignore"):
             gap = np.hypot.reduce(p - q, axis=1)
-            ratio = np.hypot.reduce(fp - fq, axis=1) / np.where(gap == 0.0, np.inf, gap)
+            ratio = np.hypot.reduce(fp / 16 - fq / 16, axis=1) / np.where(gap == 0.0, np.inf, gap / 16)
         return float(np.max(np.where(np.isnan(ratio), np.inf, ratio)))
 
     def fd_partner(p, axis):
@@ -262,13 +290,13 @@ def _per_sweep_lipschitz(f, box, samples, seed):
         return q
 
     u_cycle = np.resize(np.asarray(U_ZERO_GRID), samples)
-    pairs = lo + rng.random((samples, 2, 2 * n)) * width
+    pairs = np.array([[point(), point()] for _ in range(samples)])
     p, q = pairs[:, 0], pairs[:, 1]
     best = top_quotient(p, q, value(p, u_cycle), value(q, u_cycle))
-    p = lo + rng.random((samples, 2 * n)) * width
+    p = np.array([point() for _ in range(samples)])
     q = fd_partner(p, np.arange(samples) % (2 * n))
     best = max(best, top_quotient(p, q, value(p, u_cycle), value(q, u_cycle)))
-    anchors = [0.5 * (lo + hi)] + [lo + rng.random(2 * n) * width for _ in range(2)]
+    anchors = [0.5 * (lo + hi), point(), point()]
     for c in range(2 * n):
         for anchor in anchors:
             p = np.tile(anchor, (201, 1))
@@ -455,7 +483,7 @@ def test_paper_advisory_runs_on_columns():
     f = rs.make_nonlinearity("paper_example", 2)
     f.point = _point_not_called
     advisory = rs.estimate_lipschitz(f, [(-30.0, 30.0)] * 2, seed=0)
-    assert advisory == pytest.approx(29.87526469182374, rel=1e-12)
+    assert advisory == pytest.approx(29.79520149849768, rel=1e-12)
 
 
 def test_rows_of_zero_registry_entry():
