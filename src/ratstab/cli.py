@@ -83,7 +83,7 @@ def _vector(value, name: str, length: int) -> list:
 def load_config(path: str) -> RunConfig:
     """Load and strictly validate a JSON config file."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:  # RFC 8259: JSON text is UTF-8
             raw = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
@@ -161,7 +161,11 @@ def parse_config(raw: dict) -> RunConfig:
         if "directory" in output:
             if not isinstance(output["directory"], str):
                 raise ConfigError("'directory' must be a string")
-            cfg.out_dir = output["directory"]
+            # the path names its UTF-8 bytes, whatever the locale's file system encoding
+            try:
+                cfg.out_dir = os.fsdecode(output["directory"].encode("utf-8"))
+            except UnicodeEncodeError:
+                raise ConfigError(f"'directory' {output['directory']!r} is not UTF-8 text") from None
         if "emit_plots" in output:
             if not isinstance(output["emit_plots"], bool):
                 raise ConfigError("'emit_plots' must be a boolean")

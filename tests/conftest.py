@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -84,3 +89,14 @@ def ulp_distance(a, b) -> np.ndarray:
 
     out[finite] = [abs(p - q) for p, q in zip(ordered(a[finite]), ordered(b[finite]))]
     return out
+
+
+def run_in_ascii_locale(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``python -c code args`` where the locale, stdio and file names are
+    ASCII: the C locale, neither coerced to C.UTF-8 nor in UTF-8 mode."""
+    src = str(Path(rs.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if not key.startswith(("LC_", "PYTHONUTF8"))}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-X", "utf8=0", "-c", code, *args], env=env, capture_output=True,
+                          timeout=300)

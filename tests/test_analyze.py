@@ -1,3 +1,4 @@
+import codecs
 import math
 import re
 import tracemalloc
@@ -12,7 +13,7 @@ from ratstab import analyze
 from ratstab.ddesim import Trajectory
 from ratstab.errors import ContractViolation, OutputIOError
 
-from conftest import BENCH_X0, BENCH_XHAT0
+from conftest import BENCH_X0, BENCH_XHAT0, run_in_ascii_locale
 
 
 def test_verify_decay_exact_exponential():
@@ -261,6 +262,89 @@ def test_benchmark_csv_roundtrip(tmp_path, bench_system, bench_gains):
     assert np.array_equal(rows[:, 3:5], traj.xhat)
 
 
+def _kernel_text(monkeypatch, kernel, fmt: bytes, values, separators: bytes):
+    """The kernel's text of values in rows of len(separators) columns, 4,096 rows a
+    call, against % on the same rows; and the values it handed to %."""
+    handed = []
+    record_text = analyze._record_text
+
+    def spy(records, fallback, x, fmt):
+        handed.extend(x[fallback].tolist())
+        return record_text(records, fallback, x, fmt)
+
+    monkeypatch.setattr(analyze, "_record_text", spy)
+    rows = np.asarray(values, float).reshape(-1, len(separators))
+    words = analyze._separator_words(separators)
+    row_format = b"".join(fmt + bytes([sep]) for sep in separators)
+    for lo in range(0, len(rows), 4096):
+        chunk = rows[lo:lo + 4096]
+        assert kernel(chunk, words) == row_format * len(chunk) % tuple(chunk.ravel().tolist())
+    monkeypatch.undo()
+    return handed
+
+
+def _seeded_doubles(seed: int, count: int, exponents: int = 2047) -> np.ndarray:
+    # either sign, a uniform mantissa and each biased exponent below `exponents` alike
+    # (0: subnormals, 2046: up to the largest double)
+    rng = np.random.default_rng(seed)
+    bits = (rng.integers(0, 2, count, dtype=np.uint64) << np.uint64(63)
+            | rng.integers(0, exponents, count, dtype=np.uint64) << np.uint64(52)
+            | rng.integers(0, 2 ** 52, count, dtype=np.uint64))
+    return bits.view(np.float64)
+
+
+def test_g17_kernel_matches_percent_on_a_million_doubles(monkeypatch):
+    values = _seeded_doubles(17, 2 ** 20)
+    handed = _kernel_text(monkeypatch, analyze._g17_text, b"%.17g", values, b",,,\n")
+    # the fast path takes 10**-284 <= |x| < 10**299: about 92 % of the exponents
+    assert 0.05 < len(handed) / len(values) < 0.11
+
+
+def test_g17_kernel_matches_percent_on_edge_values(monkeypatch):
+    big = np.finfo(float).max
+    tie = 2.0 ** -25  # 2.98023223876953125e-08: the 17th digit ties, and rounds to even
+    powers = [float(f"1e{k}") for k in range(-323, 309)] + [10.0 ** k for k in range(-30, 31)]
+    values = ([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, big, -big, tie, -tie,
+               1e16, 1e17, 9.9999999999999999e16, 1e-5, 0.1, -0.1, 1 / 3, 123456789.0, 0.5]
+              + powers + [math.nextafter(p, 0.0) for p in powers] + [math.nextafter(p, math.inf) for p in powers])
+    values += [0.0] * (-len(values) % 4)
+    handed = _kernel_text(monkeypatch, analyze._g17_text, b"%.17g", values, b",,,\n")
+    assert b"%.17g" % tie == b"2.9802322387695312e-08"
+    assert {math.inf, -math.inf, 5e-324, big, tie} <= set(handed) and any(map(math.isnan, handed))
+    assert 0.0 not in handed and 0.1 not in handed
+
+
+@pytest.mark.parametrize("off", [-1.0, 1.0])
+def test_g17_kernel_falls_back_when_the_exponent_guess_is_off_by_one(monkeypatch, off):
+    # np.log10's SIMD loops differ by ulps; a guess of E off by one must not change the text
+    values = np.concatenate([_seeded_doubles(23, 4092), [1.0, 0.1, 9.5, -123.0]])
+    log10 = np.log10
+    monkeypatch.setattr(analyze.np, "log10", lambda mag: log10(mag) + off)
+    handed = _kernel_text(monkeypatch, analyze._g17_text, b"%.17g", values, b",,,\n")
+    assert len(handed) == len(values)
+
+
+def test_f2_kernel_matches_percent_on_a_million_doubles(monkeypatch):
+    # every exponent, then a million below 2**45, where the fast path ends at 1e13
+    values = np.concatenate([_seeded_doubles(5, 2 ** 15), _seeded_doubles(6, 2 ** 20, 1023 + 45)])
+    handed = _kernel_text(monkeypatch, analyze._f2_text, b"%.2f", values, b", ")
+    assert handed and min(map(abs, handed)) >= 1e13
+    assert len(handed) > 0.4 * 2 ** 15
+
+
+def test_f2_kernel_matches_percent_on_edge_values(monkeypatch):
+    below = math.nextafter(1e13, 0.0)
+    values = ([0.005, 0.015, 1.005, 2.675, -0.004, -0.005, -0.0, 0.0, 9999999999999.994, below, -below, 1e13,
+               -1e13, 1.5e13, 1e15, 1e22, np.finfo(float).max, 5e-324, math.inf, -math.inf, math.nan, 0.125]
+              + [k / 8 for k in range(-200, 201)] + [k / 200 for k in range(-4000, 4001)]
+              + [(k + 0.5) / 100 for k in range(-1000, 1001)])
+    values += [0.0] * (len(values) % 2)
+    handed = _kernel_text(monkeypatch, analyze._f2_text, b"%.2f", values, b", ")
+    assert b"%.2f,%.2f" % (0.125, 0.375) == b"0.12,0.38"  # ties to even; 2.675 is below its tie
+    assert {1e13, -1e13, below, math.inf} <= set(handed) and any(map(math.isnan, handed))
+    assert 9999999999999.994 not in handed
+
+
 def test_csv_memory_does_not_grow_with_the_formatted_rows(tmp_path):
     # 100,001 rows with an observer: the file takes 16 MB, while emit_csv peaks at 5.6 MB
     # (tracemalloc), the two norm columns it adds (0.8 MB each) and their temporaries;
@@ -301,6 +385,33 @@ def test_plot_escapes_markup_in_the_title_and_labels(tmp_path):
              if node.tag.endswith("text")]
     assert texts[0] == "x < y & z"
     assert texts[-2:] == ["a<b & c", '"d" > e']
+
+
+_ASCII_PLOT = """
+import locale, sys
+import numpy as np
+from ratstab import analyze
+print(locale.getpreferredencoding(False))
+t = np.linspace(0.0, 1.0, 50)
+analyze.emit_plot([("\\u03b8 & <", t, np.exp(-t))], sys.argv[1], title="\\u03b1")
+"""
+
+
+def test_plot_writes_utf8_under_an_ascii_locale(tmp_path):
+    path = tmp_path / "greek.svg"
+    done = run_in_ascii_locale(_ASCII_PLOT, str(path))
+    assert (done.returncode, done.stderr) == (0, b""), done.stderr
+    assert codecs.lookup(done.stdout.decode().strip()).name == "ascii"  # open()'s default encoding there
+    texts = [node.text for node in ElementTree.parse(path).getroot() if node.tag.endswith("text")]
+    assert texts[0] == "\u03b1" and texts[-1] == "\u03b8 & <"
+    assert "\u03b1".encode() in path.read_bytes()
+
+
+def test_plot_text_that_utf8_cannot_encode_leaves_no_file(tmp_path):
+    t = np.linspace(0.0, 1.0, 50)
+    with pytest.raises(ContractViolation, match="not UTF-8"):
+        analyze.emit_plot([("\ud800", t, np.exp(-t))], tmp_path / "bad.svg")
+    assert not (tmp_path / "bad.svg").exists()
 
 
 def test_plot_log_scale(tmp_path):

@@ -12,6 +12,8 @@ import pytest
 import ratstab as rs
 from ratstab import analyze, cli
 
+from conftest import run_in_ascii_locale
+
 
 def base_config(out_dir, **tweaks):
     cfg = {
@@ -630,6 +632,7 @@ def _tweak(key, value):
     ("certify", lambda cfg: [], [], 2, "config root must be an object with sections"),
     ("certify", _without("gains"), [], 2, "missing section 'gains'"),
     ("certify", _tweak("output.directory", 5), [], 2, "'directory' must be a string"),
+    ("certify", _tweak("output.directory", "out\ud800"), [], 2, "'directory' 'out\\ud800' is not UTF-8 text"),
     ("certify", _tweak("output.emit_plots", "yes"), [], 2, "'emit_plots' must be a boolean"),
 ], ids=["simulate_without_sim", "simulate_without_sim_with_step_and_horizon", "history_reads_x1",
         "history_is_a_number", "history_constant", "f_is_a_number", "n_is_a_float",
@@ -637,7 +640,7 @@ def _tweak(key, value):
         "L_is_short", "tau_is_text",
         "tau_is_infinity", "tau_is_a_400_digit_integer", "L_entry_is_a_400_digit_integer",
         "gains_is_a_list", "root_is_a_list", "gains_missing",
-        "directory_is_a_number", "emit_plots_is_text"])
+        "directory_is_a_number", "directory_is_not_utf8", "emit_plots_is_text"])
 def test_config_input_errors(tmp_path, capsys, monkeypatch, command, edit, flags, code, message):
     monkeypatch.chdir(tmp_path)  # a default relative output directory would land here
     out = tmp_path / "out"
@@ -698,6 +701,27 @@ def test_fit_on_a_degenerate_time_column_is_an_input_error(tmp_path, capsys, t_c
         warnings.simplefilter("error")
         assert cli.main(["fit", str(path), "--column", "x1"]) == 2
     assert capsys.readouterr() == ("", message)
+
+
+_ASCII_CERTIFY = """
+import sys
+from ratstab import cli
+print(sys.getfilesystemencoding())
+sys.exit(cli.main(["certify", "--config", sys.argv[1]]))
+"""
+
+
+def test_a_utf8_config_certifies_into_a_non_ascii_directory_under_an_ascii_locale(tmp_path):
+    # JSON text is UTF-8 (RFC 8259) whatever the locale, and the directory names its UTF-8 bytes
+    out = tmp_path / "r\u00e9sultats"
+    path = tmp_path / "config.json"
+    path.write_bytes(json.dumps(base_config(out), ensure_ascii=False).encode())
+    assert b"r\xc3\xa9sultats" in path.read_bytes()
+    done = run_in_ascii_locale(_ASCII_CERTIFY, str(path))
+    assert (done.returncode, done.stderr) == (0, b""), done.stderr
+    assert done.stdout.splitlines()[0] == b"ascii"
+    assert b"certificate written to " + bytes(out / "certificate.json") in done.stdout
+    assert json.loads((out / "certificate.json").read_text())["pass"]["all"] is True
 
 
 _IMPORT_PROBE = """
