@@ -103,8 +103,10 @@ class Bin:
 
 Expr = Union[Num, Var, Neg, Call, Bin]
 
-_NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# whitespace (str.isspace), then at most one token: a number, an identifier, an operator or,
+# as "bad", any other character
+_TOKEN_RE = re.compile(r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+                       r"|(?P<op>[-+*/^()])|(?P<bad>\S))?")
 _STATE_RE = re.compile(r"(xd?)([1-9][0-9]*)\Z")
 
 
@@ -162,32 +164,18 @@ FUNCTIONS = {
 
 
 def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    size = len(text)
-    while pos < size:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
+    tokens, pos = [], 0
+    while True:
+        m = _TOKEN_RE.match(text, pos)
+        kind, pos = m.lastgroup, m.end()
+        if kind is None:  # only whitespace was left
+            break
         if len(tokens) == _MAX_TOKENS:
-            raise ExprSyntaxError(pos, f"expression has more than {_MAX_TOKENS} tokens")
-        m = _NUM_RE.match(text, pos)
-        if m is not None:
-            tokens.append(("num", m.group(), pos))
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(text, pos)
-        if m is not None:
-            tokens.append(("ident", m.group(), pos))
-            pos = m.end()
-            continue
-        if ch in "+-*/^()":
-            tokens.append(("op", ch, pos))
-            pos += 1
-            continue
-        raise ExprSyntaxError(pos, f"unexpected character {ch!r}")
-    tokens.append(("end", "", size))
+            raise ExprSyntaxError(m.start(kind), f"expression has more than {_MAX_TOKENS} tokens")
+        if kind == "bad":
+            raise ExprSyntaxError(m.start(kind), f"unexpected character {m[kind]!r}")
+        tokens.append((kind, m[kind], m.start(kind)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -250,26 +238,23 @@ class _Parser:
         kind, value, offset = self._advance()
         if kind == "num":
             return Num(float(value))
-        if kind == "ident":
-            if self._peek()[:2] == ("op", "("):
-                if value not in FUNCTIONS:
-                    raise ExprSyntaxError(offset, f"unknown function {value!r}")
-                self._advance()
-                arg = self._expr(depth + 1)
-                if self._peek()[:2] != ("op", ")"):
-                    raise ExprSyntaxError(self._peek()[2], "expected ')'")
-                self._advance()
-                return Call(value, arg)
+        call = kind == "ident" and self._peek()[:2] == ("op", "(")
+        if call:
+            if value not in FUNCTIONS:
+                raise ExprSyntaxError(offset, f"unknown function {value!r}")
+            self._advance()
+        elif kind == "ident":
             if value not in ("u", "t") and state_index(value) is None:
                 raise ExprSyntaxError(offset, f"unknown identifier {value!r}")
             return Var(value)
-        if (kind, value) == ("op", "("):
-            e = self._expr(depth + 1)
-            if self._peek()[:2] != ("op", ")"):
-                raise ExprSyntaxError(self._peek()[2], "expected ')'")
-            self._advance()
-            return e
-        return _raise_expected_value(kind, value, offset)
+        elif (kind, value) != ("op", "("):
+            shown = "end of input" if kind == "end" else repr(value)
+            raise ExprSyntaxError(offset, f"expected a value, found {shown}")
+        e = self._expr(depth + 1)  # a call's argument or a bracketed expression
+        if self._peek()[:2] != ("op", ")"):
+            raise ExprSyntaxError(self._peek()[2], "expected ')'")
+        self._advance()
+        return Call(value, e) if call else e
 
 
 def _children(expr: Expr) -> tuple:
@@ -280,22 +265,23 @@ def _children(expr: Expr) -> tuple:
     return ()
 
 
+def _walk(expr: Expr):
+    """Every node of the tree and its level, the root's being 1, without recursion."""
+    stack = [(expr, 1)]
+    while stack:
+        node, level = stack.pop()
+        yield node, level
+        for child in _children(node):
+            stack.append((child, level + 1))
+
+
 def _height(expr: Expr) -> int:
-    """Number of levels of the tree, counted without recursion.
+    """Number of levels of the tree.
 
     Operator chains such as ``x1+x1+...`` are parsed in a loop, so the parse
     depth does not bound the height of the left-leaning tree they build.
     """
-    height, level = 0, [expr]
-    while level:
-        height += 1
-        level = [child for node in level for child in _children(node)]
-    return height
-
-
-def _raise_expected_value(kind, value, offset):
-    shown = "end of input" if kind == "end" else repr(value)
-    raise ExprSyntaxError(offset, f"expected a value, found {shown}")
+    return max(level for _, level in _walk(expr))
 
 
 def parse(text: str) -> Expr:
@@ -357,11 +343,11 @@ _TRIG = {FUNCTIONS[name]: getattr(math, name) for name in ("sin", "cos", "tan")}
 def operator_count(expr: Expr, limit: float = math.inf) -> int:
     """Number of operator nodes (operators, negations and calls) in the tree;
     the count stops once it passes ``limit``."""
-    count, stack = 0, [expr]
-    while stack and count <= limit:
-        children = _children(stack.pop())
-        count += bool(children)
-        stack.extend(children)
+    count = 0
+    for node, _ in _walk(expr):
+        if count > limit:
+            break
+        count += not isinstance(node, (Num, Var))
     return count
 
 
@@ -526,13 +512,7 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
 
 def free_vars(expr: Expr) -> set[str]:
     """Exact set of variable names appearing in the expression."""
-    names, stack = set(), [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            names.add(node.name)
-        stack.extend(_children(node))
-    return names
+    return {node.name for node, _ in _walk(expr) if isinstance(node, Var)}
 
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5

@@ -369,6 +369,15 @@ def test_krasovskii_trapezoid_second_order():
     assert 3.5 <= errors[1] / errors[2] <= 4.5
 
 
+def test_krasovskii_reads_a_1d_history_as_one_column():
+    spec = rs.FunctionalSpec(matrix=np.array([[2.5]]), theta=3.0, tau=0.8)
+    samples = np.random.default_rng(7).normal(size=17)
+    column = rs.krasovskii_value(spec, samples[:, None], 4.0)
+    assert rs.krasovskii_value(spec, samples, 4.0) == column
+    assert rs.krasovskii_value(spec, samples.tolist(), 4.0) == column
+    assert column > 2.5 * samples[-1] ** 2
+
+
 def test_krasovskii_sandwich_property():
     # lam_min(P) |z(t)|^2 <= V <= (lam_max(P) + theta tau / 2) max |z|^2
     rng = np.random.default_rng(31)

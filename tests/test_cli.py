@@ -12,7 +12,7 @@ import pytest
 import ratstab as rs
 from ratstab import analyze, cli
 
-from conftest import run_in_ascii_locale
+from conftest import A_K, run_in_ascii_locale
 
 
 def base_config(out_dir, **tweaks):
@@ -231,6 +231,22 @@ def test_repro_paper(tmp_path, capsys):
     assert (tmp_path / "out" / "repro_certificate.json").exists()
     assert (tmp_path / "out" / "repro_trajectory.csv").exists()
     assert (tmp_path / "out" / "repro_trajectory.svg").exists()
+
+
+def test_published_norm_of_s_is_the_exact_solutions_not_the_printed_matrix(tmp_path, capsys):
+    # the published ||S|| = 1.0169 is the norm of the exact transposed-convention solution,
+    # 1.016945; the 4-digit reference S printed beside it has norm 1.016950, which rounds to
+    # 1.0170. So a reference norm computed from the printed S would read 1.0170. Only ||P||
+    # follows from its printed matrix: 1.068250 rounds to the published 1.0682
+    exact = rs.solve_lyapunov(A_K.T).solution
+    assert np.abs(exact - cli._REFERENCE_S).max() <= 5e-5  # the printed S is the exact one's digits
+    assert f"{np.linalg.norm(exact, 2):.4f}" == f"{cli._REFERENCE_NORM_S:.4f}" == "1.0169"
+    assert f"{np.linalg.norm(cli._REFERENCE_S, 2):.6f}" == "1.016950"
+    assert f"{np.linalg.norm(cli._REFERENCE_S, 2):.4f}" == "1.0170"
+    assert f"{np.linalg.norm(cli._REFERENCE_P, 2):.6f}" == "1.068250"
+    assert f"{np.linalg.norm(cli._REFERENCE_P, 2):.4f}" == f"{cli._REFERENCE_NORM_P:.4f}" == "1.0682"
+    assert cli.main(["repro-paper", "--out", str(tmp_path / "out"), "--horizon", "0.5"]) == 0
+    assert "||S|| computed 1.016945 vs reference 1.0169 -> agree\n" in capsys.readouterr().out
 
 
 def test_repro_paper_exits_0_on_a_failing_certificate(tmp_path, capsys):

@@ -902,6 +902,17 @@ def test_grid_beyond_memory_is_a_config_error():
         rs.integrate(lambda t, x, xd: -xd, np.zeros(4), tau=1.0, h=0.01, horizon=1e13)
 
 
+def test_a_memory_error_from_the_grid_allocation_is_a_config_error(monkeypatch):
+    # the grid is small; only the allocation fails, so the message does not depend on the machine
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(ddesim, "HistoryBuffer", no_memory)
+    with pytest.raises(ConfigError, match="^a grid of 31 nodes does not fit in memory$") as caught:
+        rs.integrate(lambda t, x, xd: -xd, np.zeros(2), tau=1.0, h=0.1, horizon=2.0)
+    assert isinstance(caught.value.__cause__, MemoryError)
+
+
 def test_history_that_changes_length_after_its_probe_is_a_config_error():
     # the probe at s = 0 sets the width to 1; every later sample has 2 entries
     calls = []

@@ -389,6 +389,63 @@ def test_size_guard_at_and_past_the_cap():
     assert caught.value.offset == len(past) - 2  # the last x1, the first token past the cap
 
 
+def test_size_guard_comes_before_the_character_check():
+    at_cap = _text_of_tokens(el._MAX_TOKENS)
+    assert el.parse(at_cap + " \t\n") == el.parse(at_cap)  # trailing whitespace is no token
+    for tail, offset in (("$", 0), (" \t$", 2), ("  +x1", 2)):  # 10,001 tokens, the last one invalid or not
+        with pytest.raises(ExprSyntaxError, match="^expression has more than 10000 tokens at offset") as caught:
+            el.parse(at_cap + tail)
+        assert caught.value.offset == len(at_cap) + offset
+
+
+# --- scanner ---------------------------------------------------------------------------------
+
+
+def test_scanner_skips_every_unicode_whitespace():
+    assert el._tokenize("x1\u00a0+\x1cxd1") == [("ident", "x1", 0), ("op", "+", 3), ("ident", "xd1", 5),
+                                                 ("end", "", 8)]
+    assert el.parse("\u3000x1 *\x1f2\u0085") == Bin("*", Var("x1"), Num(2.0))
+    with pytest.raises(ExprSyntaxError, match="unexpected character '\\\\u200b'") as caught:
+        el.parse("x1\u200b")  # a zero-width space is not whitespace
+    assert caught.value.offset == 2
+
+
+def test_scanner_reads_the_longest_number_then_an_identifier():
+    assert el._tokenize("2x1") == [("num", "2", 0), ("ident", "x1", 1), ("end", "", 3)]
+    assert el._tokenize("1.e5 .5e-3") == [("num", "1.e5", 0), ("num", ".5e-3", 5), ("end", "", 10)]
+    assert el._tokenize("1e+") == [("num", "1", 0), ("ident", "e", 1), ("op", "+", 2), ("end", "", 3)]
+    for text in ("2x1", "2e"):
+        with pytest.raises(ExprSyntaxError, match="^unexpected '(x1|e)' at offset 1$"):
+            el.parse(text)
+
+
+def test_scanner_offsets_count_leading_and_trailing_whitespace():
+    assert el._tokenize(" \t x1 \n") == [("ident", "x1", 3), ("end", "", 7)]
+    assert el.parse(" \t x1 \n") == Var("x1")
+    with pytest.raises(ExprSyntaxError, match="^unexpected character '\\$' at offset 5$"):
+        el.parse("  x1 $")
+    with pytest.raises(ExprSyntaxError, match="^unexpected character '\\.' at offset 0$"):
+        el.parse(".")
+
+
+@pytest.mark.parametrize("text", ["", "   "])
+def test_text_without_tokens_expects_a_value_at_its_end(text):
+    assert el._tokenize(text) == [("end", "", len(text))]
+    with pytest.raises(ExprSyntaxError, match="^expected a value, found end of input at offset") as caught:
+        el.parse(text)
+    assert caught.value.offset == len(text)
+
+
+def test_a_variable_name_that_is_not_a_string_is_unbound():
+    # parse only makes str names; a hand-built tree may hold anything
+    tree = Bin("+", Var("x1"), Var(1))
+    for columns in (False, True):
+        with pytest.raises(ExprEvalError, match="^unbound variable 1$"):
+            el.compile_vector([tree], ("x", "xd", "u", "t"), columns=columns)
+        with pytest.raises(ExprEvalError, match="^unbound variable 1$"):
+            el.compile_expr(tree, columns=columns)
+
+
 def test_unclosed_call_is_a_syntax_error():
     with pytest.raises(ExprSyntaxError, match="expected '\\)'") as err:
         el.parse("sin(x1")
